@@ -1,6 +1,7 @@
 //! Performance trajectory at a pinned scale: per-phase wall times of the FETI
 //! pipeline plus blocked-vs-scalar kernel and simplicial-vs-supernodal factorization
-//! comparisons, written as `BENCH_<n>.json` at the repository root.
+//! comparisons, written as `BENCH_<n>.json` to the current working directory (run it
+//! from the repository root, where the recorded files live).
 //!
 //! Unlike the figure binaries (which sweep problem sizes), this binary pins one
 //! problem size and one thread count so successive commits produce comparable
@@ -66,7 +67,7 @@ fn problem_size(scale: BenchScale) -> usize {
 
 /// Wall time of `f` — one warmup call, then the best of three timed calls (the
 /// protocol documented in `DESIGN.md`: best-of filters scheduler noise, the warmup
-/// filters one-time effects like the block-size autotune probe and page faults).
+/// filters one-time effects like lazy initialization and page faults).
 fn best_of_three<F: FnMut()>(mut f: F) -> f64 {
     f();
     (0..3)
@@ -668,7 +669,9 @@ fn main() {
         ("observability", observability),
     ]);
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_", "10.json");
+    // Relative to the working directory, not the build: a `target/` copied elsewhere
+    // must not write into the checkout it was built from.
+    let path = "BENCH_10.json";
     if let Err(e) = std::fs::write(path, doc.to_json()) {
         fail(&format!("cannot write {path}: {e}"));
     }

@@ -396,9 +396,10 @@ fn assemble_local_on_gpu(
 
 /// Assembles one dense local dual operator through the sparsity-aware kernels of the
 /// sequel paper (arXiv 2509.21037): the right-hand side `P B̃ᵀ` has only
-/// `b.num_nonzero_cols()` boundary DOFs worth of structure, so the forward solve runs
-/// boundary-restricted (`sparse_rhs_trsm`) and the SYRK skips the leading zero blocks
-/// of the solved panels (`boundary_syrk`).
+/// `b.num_nonzero_cols()` boundary DOFs worth of structure, so the forward solve is
+/// modelled boundary-restricted (`sparse_rhs_trsm`) and the SYRK as skipping the
+/// leading zero blocks of the solved panels (`boundary_syrk`).  The host executes the
+/// same exact kernel pair as the dense family, so only the modelled time differs.
 ///
 /// The sparse family always takes the SYRK path over a dense factor regardless of
 /// `params.path` / `params.*_factor_storage`: the boundary structure lives in the
@@ -1038,11 +1039,13 @@ mod tests {
                     }
                 }
             }
-            // The modelled assembly must not be slower than the dense explicit one
-            // (gpu_seconds is the deterministic sum of modelled op costs).
+            // Both families execute one host kernel pair, so the approach distinction
+            // lives only in the cost model: the dense family's modelled assembly must
+            // stay strictly slower (gpu_seconds is the deterministic sum of modelled
+            // op costs).
             assert!(
-                ts.gpu_seconds <= td.gpu_seconds + 1e-15,
-                "{sparse_approach:?}: sparse assembly {} vs dense {}",
+                td.gpu_seconds > ts.gpu_seconds,
+                "{sparse_approach:?}: sparse assembly {} must be modelled below dense {}",
                 ts.gpu_seconds,
                 td.gpu_seconds
             );

@@ -5,6 +5,13 @@
 //! model.  The memory order of the operands is honoured by the host kernels; following
 //! the paper's observation, it has no first-order effect on the modelled time (it
 //! mostly changes workspace sizes, which are handled in [`crate::sparse`]).
+//!
+//! The dense assembly kernels ([`trsm`], [`syrk`]) and their boundary-restricted
+//! counterparts of the sparsity-aware family ([`sparse_rhs_trsm`], [`boundary_syrk`])
+//! execute the same host kernel pair, `feti_sparse::blas::{trsm, syrk}`, which skips
+//! only work it proves touches exact zeros and stays bit-for-bit identical to the
+//! reference loops.  The two families therefore produce identical numbers and differ
+//! only in the modelled device time their cost models charge.
 
 use crate::cost::{self, GpuCost, GpuSpec};
 use feti_sparse::blas as hostblas;
@@ -125,12 +132,11 @@ pub fn symm_multi(
 
 /// Boundary-restricted triangular solve: the sparse-RHS variant of [`trsm`].
 ///
-/// The host kernel ([`hostblas::sparse_rhs_trsm`]) skips the exact-zero prefixes of
-/// the right-hand-side columns and stays within 4 ulps of the dense solve (bit-for-bit
-/// in the explicit-assembly case); the modelled time is the generation-dependent
-/// boundary-restricted cost, which degenerates to [`cost::dense_trsm`] when every row
-/// of the factor is boundary.  `boundary_rows` is the number of distinct boundary DOFs
-/// the right-hand side touches (the nonzero columns of `B̃ᵢ`).
+/// Executes the same host kernel as [`trsm`] (identical results); only the modelled
+/// time differs: the generation-dependent boundary-restricted cost, which degenerates
+/// to [`cost::dense_trsm`] when every row of the factor is boundary.  `boundary_rows`
+/// is the number of distinct boundary DOFs the right-hand side touches (the nonzero
+/// columns of `B̃ᵢ`).
 ///
 /// # Errors
 /// Propagates singular-diagonal errors from the host kernel.
@@ -146,16 +152,15 @@ pub fn sparse_rhs_trsm(
     b: &mut DenseMatrix,
     boundary_rows: usize,
 ) -> feti_sparse::Result<GpuCost> {
-    hostblas::sparse_rhs_trsm(uplo, trans, diag, alpha, a, b)?;
+    hostblas::trsm(uplo, trans, diag, alpha, a, b)?;
     Ok(cost::sparse_rhs_trsm(spec, generation, a.nrows(), b.ncols(), boundary_rows))
 }
 
 /// Boundary-restricted symmetric rank-k update: the sparse-operand variant of
 /// [`syrk`].
 ///
-/// The host kernel ([`hostblas::boundary_syrk`]) starts every inner product at the
-/// operand rows' first nonzeros and is bit-for-bit identical to the dense SYRK; the
-/// modelled time scales the dense cost by the generation's boundary work fraction.
+/// Executes the same host kernel as [`syrk`] (identical results); the modelled time
+/// scales the dense cost by the generation's boundary work fraction.
 #[allow(clippy::too_many_arguments)]
 pub fn boundary_syrk(
     spec: &GpuSpec,
@@ -168,7 +173,7 @@ pub fn boundary_syrk(
     c: &mut DenseMatrix,
     boundary_rows: usize,
 ) -> GpuCost {
-    hostblas::boundary_syrk(uplo, trans, alpha, a, beta, c);
+    hostblas::syrk(uplo, trans, alpha, a, beta, c);
     let k = if trans.is_transposed() { a.nrows() } else { a.ncols() };
     cost::boundary_syrk(spec, generation, c.nrows(), k, boundary_rows)
 }

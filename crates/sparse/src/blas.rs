@@ -15,18 +15,21 @@
 //! from streaming the stored triangle once, replacing per-element layout branches with
 //! direct strided slice access, and amortizing loads over small register tiles — not
 //! from changing the arithmetic.  As a consequence the results are also invariant
-//! under the configured block size, which makes the nondeterministic autotune probe
-//! (see [`kernel_block_size`]) safe under the repo's bit-identical conformance suite.
+//! under the configured block size (see [`kernel_block_size`]).
 //!
-//! # Sparsity-aware variants
+//! # Skipping exact zeros
 //!
-//! [`sparse_rhs_trsm`] and [`boundary_syrk`] are boundary-restricted counterparts of
-//! [`trsm`] and [`syrk`] for operands whose columns (respectively contraction rows)
-//! carry long exact-zero prefixes — the shape of `B̃ᵀ` in the explicit FETI assembly,
-//! where each multiplier touches only a handful of boundary DOFs.  They skip work that
-//! provably multiplies by stored zeros and agree with the dense kernels to ≤ 4 ulps in
-//! general (bit-for-bit when the inactive entries are `+0.0`, the case produced by
-//! sparse-to-dense conversion).
+//! [`trsm`] and [`syrk`] also skip every term that provably multiplies an exact zero.
+//! That is the shape of the explicit FETI assembly: the right-hand side `B̃ᵀ` touches
+//! only a few boundary DOFs per multiplier, and the Cholesky factor is mostly zeros.
+//! A skipped term `0 · x` with finite `x` is `±0.0`.  Adding or subtracting `±0.0`
+//! leaves an accumulator unchanged unless it is `-0.0`, and a sum is `-0.0` only if
+//! it starts there.  So each kernel first proves, with one O(n·m + n²) scan of its
+//! operands, that the terms it skips are no-ops — finite operands, no `-0.0` in the
+//! (scaled) right-hand side, and a positive diagonal where a solve skips whole leading
+//! rows — and takes full ranges otherwise.  A TRSM panel whose skipped solve
+//! overflowed is solved again without skipping.  The results therefore stay
+//! bit-for-bit identical to [`mod@reference`] for every input.
 
 use crate::dense::DenseMatrix;
 use crate::{DiagKind, MemoryOrder, Result, Side, SparseError, Transpose, Triangle};
@@ -56,8 +59,8 @@ fn op_get(a: &DenseMatrix, trans: Transpose, i: usize, j: usize) -> f64 {
 
 static BLOCK_SIZE: OnceLock<usize> = OnceLock::new();
 
-/// Candidate cache-block sizes probed by the autotuner.
-const BLOCK_CANDIDATES: [usize; 4] = [16, 32, 64, 128];
+/// Cache-block size used unless `FETI_BLOCK_SIZE` overrides it.
+const DEFAULT_BLOCK_SIZE: usize = 64;
 
 fn block_size_from_env(raw: &str) -> Option<usize> {
     let v = raw.trim().parse::<usize>().ok()?;
@@ -67,48 +70,16 @@ fn block_size_from_env(raw: &str) -> Option<usize> {
 /// The cache-block size used by the blocked kernels (currently the SYRK panel width).
 ///
 /// Resolved once per process: the `FETI_BLOCK_SIZE` environment variable wins if it
-/// parses to an integer ≥ 4; otherwise a small autotune probe times a blocked SYRK on
-/// a synthetic operand for each candidate in `{16, 32, 64, 128}` and picks the
-/// fastest.  The blocked kernels produce bit-identical results for every block size,
-/// so the (timing-dependent, nondeterministic) autotune choice never affects any
-/// numerical output.
+/// parses to an integer ≥ 4, otherwise the fixed default of 64.  The blocked kernels
+/// produce bit-identical results for every block size, so the choice only moves
+/// speed, never a numerical output.
 pub fn kernel_block_size() -> usize {
     *BLOCK_SIZE.get_or_init(|| {
-        if let Ok(raw) = std::env::var("FETI_BLOCK_SIZE") {
-            if let Some(v) = block_size_from_env(&raw) {
-                return v;
-            }
-        }
-        autotune_block_size()
+        std::env::var("FETI_BLOCK_SIZE")
+            .ok()
+            .and_then(|raw| block_size_from_env(&raw))
+            .unwrap_or(DEFAULT_BLOCK_SIZE)
     })
-}
-
-/// Times a small blocked SYRK per candidate block size and returns the fastest.
-fn autotune_block_size() -> usize {
-    let n = 160;
-    let k = 160;
-    let mut a = DenseMatrix::zeros(n, k, MemoryOrder::RowMajor);
-    for i in 0..n {
-        for j in 0..k {
-            a.set(i, j, ((i * 31 + j * 17) % 13) as f64 * 0.25 - 1.5);
-        }
-    }
-    let mut best = (f64::INFINITY, BLOCK_CANDIDATES[0]);
-    for &nb in &BLOCK_CANDIDATES {
-        let mut c = DenseMatrix::zeros(n, n, MemoryOrder::RowMajor);
-        // One warmup run, then best-of-three to smooth scheduler noise.
-        syrk_with_block(Triangle::Upper, Transpose::No, 1.0, &a, 0.0, &mut c, nb);
-        let mut t_best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            syrk_with_block(Triangle::Upper, Transpose::No, 1.0, &a, 0.0, &mut c, nb);
-            t_best = t_best.min(t0.elapsed().as_secs_f64());
-        }
-        if t_best < best.0 {
-            best = (t_best, nb);
-        }
-    }
-    best.1
 }
 
 /// Copies `op(A)` into a contiguous row-major buffer (`m x k`, `r[i * k + p]`).
@@ -398,7 +369,10 @@ pub fn symm(
 /// `op(A)` is first packed into a contiguous row-major buffer; the output triangle is
 /// then walked in [`kernel_block_size`]-square cache blocks with a four-accumulator
 /// register tile, each output element keeping the reference loop's single-accumulator
-/// `p = 0..k` order (bit-for-bit identical to [`reference::syrk`]).
+/// `p = 0..k` order (bit-for-bit identical to [`reference::syrk`]).  When `op(A)` is
+/// finite, the inner product for `C(i, j)` starts at the later of the two rows' first
+/// nonzeros (see the module docs): every skipped product is `±0.0` added to an
+/// accumulator that is still the literal `+0.0`.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -427,6 +401,17 @@ fn syrk_with_block(
     assert_eq!(c.ncols(), n, "syrk: C has wrong column count");
     let r = materialize_op_rowmajor(a, trans);
 
+    // First nonzero of every row of op(A) along the contraction dimension; with a
+    // non-finite operand a skipped `0 · inf` would not be a no-op, so nothing is
+    // skipped.
+    let starts: Vec<usize> = if r.iter().all(|v| v.is_finite()) {
+        (0..n)
+            .map(|i| r[i * kdim..(i + 1) * kdim].iter().position(|&v| v != 0.0).unwrap_or(kdim))
+            .collect()
+    } else {
+        vec![0; n]
+    };
+
     let mut i0 = 0;
     while i0 < n {
         let i1 = (i0 + nb).min(n);
@@ -443,14 +428,20 @@ fn syrk_with_block(
                     continue;
                 }
                 let ri = &r[i * kdim..(i + 1) * kdim];
+                let si = starts[i];
                 let mut j = jlo;
                 while j + 4 <= jhi {
                     let rj0 = &r[j * kdim..(j + 1) * kdim];
                     let rj1 = &r[(j + 1) * kdim..(j + 2) * kdim];
                     let rj2 = &r[(j + 2) * kdim..(j + 3) * kdim];
                     let rj3 = &r[(j + 3) * kdim..(j + 4) * kdim];
+                    // The shared start must cover all four columns of the tile; lanes
+                    // whose own start is later just add exact zeros to a +0.0
+                    // accumulator, which is still bit-identical.
+                    let p0 =
+                        si.max(starts[j].min(starts[j + 1]).min(starts[j + 2]).min(starts[j + 3]));
                     let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-                    for p in 0..kdim {
+                    for p in p0..kdim {
                         let av = ri[p];
                         a0 += av * rj0[p];
                         a1 += av * rj1[p];
@@ -466,7 +457,7 @@ fn syrk_with_block(
                 while j < jhi {
                     let rj = &r[j * kdim..(j + 1) * kdim];
                     let mut acc = 0.0;
-                    for p in 0..kdim {
+                    for p in si.max(starts[j])..kdim {
                         acc += ri[p] * rj[p];
                     }
                     let old = c.get(i, j);
@@ -546,35 +537,33 @@ pub fn trsv(
     Ok(())
 }
 
-/// Forward substitution over a register panel of `W` right-hand sides stored as
-/// contiguous length-`n` columns in `x`.  Per column the operation sequence is exactly
-/// that of [`trsv`] on an effectively-lower `op(A)` (ascending subtraction order, one
-/// division per element); the panel only shares the loads of the factor.
-fn trsm_panel_forward<const W: usize>(e: &[f64], n: usize, diag: DiagKind, x: &mut [f64]) {
-    trsm_panel_forward_from::<W>(e, n, 0, diag, x);
-}
-
-/// [`trsm_panel_forward`] restricted to rows `start..n`: rows before `start` are
-/// neither read nor written.  With `start == 0` this is the dense panel; a positive
-/// `start` is valid whenever every panel column is exactly zero above `start`, in
-/// which case the skipped subtraction terms multiply stored zeros and the result
-/// matches the dense solve (bit-for-bit when those zeros are `+0.0`).
-fn trsm_panel_forward_from<const W: usize>(
+/// Forward substitution over a register panel of `W` right-hand sides stored
+/// interleaved in `x` (`x[i * W + c]` is row `i` of column `c`).  Per column the
+/// operation sequence is that of [`trsv`] on an effectively-lower `op(A)` (ascending
+/// subtraction order, one division per element); the panel only shares the loads of
+/// the factor.
+///
+/// Rows before `lo` are neither read nor written, and row `i` subtracts only from
+/// column `first[i].max(lo)` on.  With `lo == 0` and `first == None` this is the full
+/// solve; [`trsm`] passes a positive `lo` or `first` only where the skipped terms are
+/// proven no-ops.
+fn trsm_panel_forward<const W: usize>(
     e: &[f64],
     n: usize,
-    start: usize,
+    lo: usize,
+    first: Option<&[usize]>,
     diag: DiagKind,
     x: &mut [f64],
 ) {
     debug_assert_eq!(x.len(), n * W);
-    for i in start..n {
+    for i in lo..n {
         let row = &e[i * n..i * n + i + 1];
+        let start = first.map_or(lo, |f| f[i].max(lo));
         let mut acc = [0.0f64; W];
         acc.copy_from_slice(&x[i * W..i * W + W]);
-        // The interleaved layout (`x[j*W + c]`) makes this one contiguous stream per
-        // operand; the zip elides bounds checks and the W accumulator chains are
-        // independent, so the lanes vectorize without reassociating any single
-        // column's subtraction order.
+        // The interleaved layout makes this one contiguous stream per operand; the zip
+        // elides bounds checks and the W accumulator chains are independent, so the
+        // lanes vectorize without reassociating any single column's subtraction order.
         for (&l, xs) in row[start..i].iter().zip(x[start * W..].chunks_exact(W)) {
             for c in 0..W {
                 acc[c] -= l * xs[c];
@@ -593,23 +582,20 @@ fn trsm_panel_forward_from<const W: usize>(
     }
 }
 
-/// Backward-substitution counterpart of [`trsm_panel_forward`].
-fn trsm_panel_backward<const W: usize>(e: &[f64], n: usize, diag: DiagKind, x: &mut [f64]) {
-    trsm_panel_backward_to::<W>(e, n, n, diag, x);
-}
-
-/// [`trsm_panel_backward`] restricted to rows `0..end`: rows at or below `end` are
-/// neither read nor written (valid whenever every panel column is exactly zero from
-/// `end` downward — the mirror of [`trsm_panel_forward_from`]).
-fn trsm_panel_backward_to<const W: usize>(
+/// Backward-substitution mirror of [`trsm_panel_forward`]: rows at or after `hi` are
+/// neither read nor written, and row `i` subtracts only up to column
+/// `last[i].min(hi)` (exclusive).
+fn trsm_panel_backward<const W: usize>(
     e: &[f64],
     n: usize,
-    end: usize,
+    hi: usize,
+    last: Option<&[usize]>,
     diag: DiagKind,
     x: &mut [f64],
 ) {
     debug_assert_eq!(x.len(), n * W);
-    for i in (0..end).rev() {
+    for i in (0..hi).rev() {
+        let end = last.map_or(hi, |l| l[i].min(hi));
         let row = &e[i * n..i * n + end];
         let mut acc = [0.0f64; W];
         acc.copy_from_slice(&x[i * W..i * W + W]);
@@ -631,19 +617,93 @@ fn trsm_panel_backward_to<const W: usize>(
     }
 }
 
+/// Solves one interleaved panel of `w ≤ 4` columns over rows `lo..hi` (see
+/// [`trsm_panel_forward`] / [`trsm_panel_backward`]; a forward solve always runs to
+/// `n`, a backward one always from row 0).
+#[allow(clippy::too_many_arguments)]
+fn trsm_panel(
+    e: &[f64],
+    n: usize,
+    lower: bool,
+    (lo, hi): (usize, usize),
+    bounds: Option<&[usize]>,
+    diag: DiagKind,
+    w: usize,
+    x: &mut [f64],
+) {
+    match (lower, w) {
+        (true, 4) => trsm_panel_forward::<4>(e, n, lo, bounds, diag, x),
+        (true, 3) => trsm_panel_forward::<3>(e, n, lo, bounds, diag, x),
+        (true, 2) => trsm_panel_forward::<2>(e, n, lo, bounds, diag, x),
+        (true, _) => trsm_panel_forward::<1>(e, n, lo, bounds, diag, x),
+        (false, 4) => trsm_panel_backward::<4>(e, n, hi, bounds, diag, x),
+        (false, 3) => trsm_panel_backward::<3>(e, n, hi, bounds, diag, x),
+        (false, 2) => trsm_panel_backward::<2>(e, n, hi, bounds, diag, x),
+        (false, _) => trsm_panel_backward::<1>(e, n, hi, bounds, diag, x),
+    }
+}
+
+/// Per-row bounds of the off-diagonal structural nonzeros of a triangular `op(A)`
+/// packed row-major in `e`: for an effectively-lower factor the first nonzero column
+/// of each row (`i` if it has none), for an upper one one past the last (`i + 1`).
+fn factor_row_bounds(e: &[f64], n: usize, lower: bool) -> Vec<usize> {
+    (0..n)
+        .map(|i| {
+            let row = &e[i * n..(i + 1) * n];
+            if lower {
+                row[..i].iter().position(|&v| v != 0.0).unwrap_or(i)
+            } else {
+                row[i + 1..].iter().rposition(|&v| v != 0.0).map_or(i + 1, |p| i + 2 + p)
+            }
+        })
+        .collect()
+}
+
+/// Per-column active row ranges of a dense right-hand side: for each column the index
+/// of its first nonzero row and one past its last nonzero row (`(n, 0)` for an
+/// all-zero column).
+///
+/// [`trsm`] uses them to gather columns into panels and to skip the rows before
+/// (forward) or after (backward) a panel's first possible nonzero.  In the explicit
+/// assembly the columns of `B̃ᵀ` are the local multipliers, each touching only a few
+/// boundary DOFs, so the active range is a short window of the column.
+#[must_use]
+pub fn column_active_ranges(b: &DenseMatrix) -> Vec<(usize, usize)> {
+    let n = b.nrows();
+    (0..b.ncols())
+        .map(|j| {
+            let start = (0..n).find(|&i| b.get(i, j) != 0.0).unwrap_or(n);
+            let end = (0..n).rev().find(|&i| b.get(i, j) != 0.0).map_or(0, |i| i + 1);
+            (start, end)
+        })
+        .collect()
+}
+
 /// Triangular solve with a dense right-hand-side matrix (left side):
 /// solves `op(A) * X = alpha * B`, overwriting `B` with `X`.  On error the contents
 /// of `B` are unspecified.
 ///
-/// This is the dense TRSM used by the paper when factors are stored densely.  `op(A)`
-/// is packed once into a contiguous row-major buffer and the right-hand sides are
-/// solved in four-column register panels; each column's floating-point sequence is
-/// exactly that of a [`trsv`] on that column (bit-for-bit identical to
-/// [`reference::trsm`]).
+/// This is the TRSM of the paper's explicit assembly.  `op(A)` is packed once into a
+/// contiguous row-major buffer and the right-hand sides are solved in four-column
+/// interleaved register panels; each column's floating-point sequence is exactly that
+/// of a [`trsv`] on that column (bit-for-bit identical to [`reference::trsm`] for every
+/// input).  Two kinds of terms are skipped where a scan proves them no-ops (see the
+/// module docs):
+///
+/// * **factor structure** — each row subtracts only from its first off-diagonal
+///   structural nonzero on (backward: up to its last), when the scaled `B` is finite
+///   and free of `-0.0`;
+/// * **right-hand-side structure** — columns are gathered into panels in order of
+///   their active bound ([`column_active_ranges`]) and each panel solves only from its
+///   first possibly nonzero row (backward: up to its last), when additionally `op(A)`
+///   is finite and its diagonal positive (or unit).  Skipped rows keep their `+0.0`.
+///
+/// A panel whose skipped solve is not finite is solved again in full.
 ///
 /// # Errors
 /// Returns [`SparseError::SingularDiagonal`] if a diagonal entry is zero (and
-/// `diag == NonUnit`).
+/// `diag == NonUnit`), for the same index as the reference: the diagonal scan covers
+/// skipped rows too.
 pub fn trsm(
     uplo: Triangle,
     trans: Transpose,
@@ -666,7 +726,7 @@ pub fn trsm(
         return Ok(());
     }
 
-    let effective_lower = match (uplo, trans) {
+    let lower = match (uplo, trans) {
         (Triangle::Lower, Transpose::No) | (Triangle::Upper, Transpose::Yes) => true,
         (Triangle::Upper, Transpose::No) | (Triangle::Lower, Transpose::Yes) => false,
     };
@@ -676,7 +736,7 @@ pub fn trsm(
     // diagonal element it meets).
     if diag == DiagKind::NonUnit {
         let scan: Box<dyn Iterator<Item = usize>> =
-            if effective_lower { Box::new(0..n) } else { Box::new((0..n).rev()) };
+            if lower { Box::new(0..n) } else { Box::new((0..n).rev()) };
         for i in scan {
             if e[i * n + i] == 0.0 {
                 return Err(SparseError::SingularDiagonal { index: i });
@@ -684,273 +744,59 @@ pub fn trsm(
         }
     }
 
-    let mut xbuf = vec![0.0; n * 4];
-    let mut j0 = 0;
-    while j0 < ncols {
-        let w = (ncols - j0).min(4);
-        // Interleaved panel layout: xbuf[i*w + c] holds B(i, j0 + c), so the panel
-        // kernels stream one contiguous buffer.
-        for c in 0..w {
-            for i in 0..n {
-                xbuf[i * w + c] = b.get(i, j0 + c);
-            }
-        }
-        let seg = &mut xbuf[..w * n];
-        match (effective_lower, w) {
-            (true, 4) => trsm_panel_forward::<4>(&e, n, diag, seg),
-            (true, 3) => trsm_panel_forward::<3>(&e, n, diag, seg),
-            (true, 2) => trsm_panel_forward::<2>(&e, n, diag, seg),
-            (true, _) => trsm_panel_forward::<1>(&e, n, diag, seg),
-            (false, 4) => trsm_panel_backward::<4>(&e, n, diag, seg),
-            (false, 3) => trsm_panel_backward::<3>(&e, n, diag, seg),
-            (false, 2) => trsm_panel_backward::<2>(&e, n, diag, seg),
-            (false, _) => trsm_panel_backward::<1>(&e, n, diag, seg),
-        }
-        for c in 0..w {
-            for i in 0..n {
-                b.set(i, j0 + c, xbuf[i * w + c]);
-            }
-        }
-        j0 += w;
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------------
-// Sparse-RHS TRSM / boundary SYRK: boundary-restricted assembly kernels.
-// ---------------------------------------------------------------------------------
-
-/// Per-column active row ranges of a dense right-hand side: for each column the index
-/// of its first nonzero row and one past its last nonzero row (`(n, 0)` for an
-/// all-zero column).
-///
-/// This is the gather/scatter layer's analysis step for the boundary-restricted
-/// assembly: the columns of `B̃ᵀ` are the local multipliers, each touching only a few
-/// boundary DOFs, so under a fill-reducing permutation the active range is a short
-/// suffix (forward solves) or prefix (backward solves) of the column.
-#[must_use]
-pub fn column_active_ranges(b: &DenseMatrix) -> Vec<(usize, usize)> {
-    let n = b.nrows();
-    (0..b.ncols())
-        .map(|j| {
-            let start = (0..n).find(|&i| b.get(i, j) != 0.0).unwrap_or(n);
-            let end = (0..n).rev().find(|&i| b.get(i, j) != 0.0).map_or(0, |i| i + 1);
-            (start, end)
-        })
-        .collect()
-}
-
-/// Sparse-right-hand-side variant of [`trsm`]: solves `op(A) * X = alpha * B` exactly
-/// like the dense kernel, but restricts each solve panel to the rows where its
-/// columns can be nonzero.
-///
-/// The kernel scans `B` for per-column active ranges ([`column_active_ranges`]),
-/// gathers the columns into four-wide interleaved panels in order of their active
-/// bound (so columns with similar sparsity share a panel), solves only rows from the
-/// panel's first possible nonzero onward (forward substitution; the mirror for
-/// backward), and scatters the boundary rows back.  Rows outside a column's active
-/// range hold an exactly-zero solution and are left untouched beyond the `alpha`
-/// scaling.
-///
-/// Agreement with [`trsm`]: ≤ 4 ulps always (differences are confined to the sign of
-/// exact zeros), and bit-for-bit when the inactive entries of `B` are `+0.0` and the
-/// effective diagonal of `op(A)` is positive — the explicit-assembly case, where `B`
-/// comes from a sparse-to-dense conversion and `A` is a Cholesky factor.
-///
-/// # Errors
-/// Returns [`SparseError::SingularDiagonal`] for the same diagonal index as [`trsm`]
-/// (the scan covers skipped rows too, so error behavior is identical).
-pub fn sparse_rhs_trsm(
-    uplo: Triangle,
-    trans: Transpose,
-    diag: DiagKind,
-    alpha: f64,
-    a: &DenseMatrix,
-    b: &mut DenseMatrix,
-) -> Result<()> {
-    let n = a.nrows();
-    assert_eq!(a.ncols(), n, "sparse_rhs_trsm: A must be square");
-    assert_eq!(b.nrows(), n, "sparse_rhs_trsm: B has wrong row count");
-    let ncols = b.ncols();
-
-    if alpha != 1.0 {
-        for v in b.as_mut_slice() {
-            *v *= alpha;
-        }
-    }
-    if n == 0 || ncols == 0 {
-        return Ok(());
-    }
-
-    let effective_lower = match (uplo, trans) {
-        (Triangle::Lower, Transpose::No) | (Triangle::Upper, Transpose::Yes) => true,
-        (Triangle::Upper, Transpose::No) | (Triangle::Lower, Transpose::Yes) => false,
-    };
-    let e = materialize_op_rowmajor(a, trans);
-    // Same value-only pre-scan as the dense kernel, in the same order, over the full
-    // diagonal: a singular pivot is reported even when it sits in a skipped region.
-    if diag == DiagKind::NonUnit {
-        let scan: Box<dyn Iterator<Item = usize>> =
-            if effective_lower { Box::new(0..n) } else { Box::new((0..n).rev()) };
-        for i in scan {
-            if e[i * n + i] == 0.0 {
-                return Err(SparseError::SingularDiagonal { index: i });
-            }
-        }
-    }
-
-    // Gather step: order the columns by their active bound so panels stay tight.
-    let ranges = column_active_ranges(b);
+    // Skip guards (module docs): a row's accumulator starts at its scaled B entry,
+    // which must not be -0.0; a skipped leading row must solve to +0.0, which needs a
+    // finite factor and a positive (or unit) diagonal.
+    let rhs_exact =
+        b.as_slice().iter().all(|&v| v.is_finite() && !(v == 0.0 && v.is_sign_negative()));
+    let bounds = rhs_exact.then(|| factor_row_bounds(&e, n, lower));
+    let triangle =
+        |i: usize| if lower { &e[i * n..=i * n + i] } else { &e[i * n + i..(i + 1) * n] };
+    let rhs_skip = rhs_exact
+        && (0..n).all(|i| triangle(i).iter().all(|v| v.is_finite()))
+        && (diag == DiagKind::Unit || (0..n).all(|i| e[i * n + i] > 0.0));
+    let ranges = if rhs_skip { column_active_ranges(b) } else { vec![(0, n); ncols] };
+    // Gather order: columns with similar active bounds share a panel.
     let mut order: Vec<usize> = (0..ncols).collect();
-    if effective_lower {
+    if lower {
         order.sort_by_key(|&j| ranges[j].0);
     } else {
         order.sort_by_key(|&j| std::cmp::Reverse(ranges[j].1));
     }
 
     let mut xbuf = vec![0.0; n * 4];
-    let mut q0 = 0;
-    while q0 < ncols {
-        let w = (ncols - q0).min(4);
-        let cols = &order[q0..q0 + w];
+    for cols in order.chunks(4) {
+        let w = cols.len();
         // The panel's row range must cover every member column; the sort makes the
         // widest member come first.
-        let (lo, hi) =
-            if effective_lower { (ranges[cols[0]].0, n) } else { (0, ranges[cols[0]].1) };
-        if lo >= hi {
-            // Entirely zero columns: the solution is the (scaled) zero input.
-            q0 += w;
+        let mut rows = if lower { (ranges[cols[0]].0, n) } else { (0, ranges[cols[0]].1) };
+        if rows.0 >= rows.1 {
+            // All-zero columns under the RHS skip: the solution is the zero input.
             continue;
         }
-        for (c, &j) in cols.iter().enumerate() {
-            for i in lo..hi {
-                xbuf[i * w + c] = b.get(i, j);
-            }
-        }
         let seg = &mut xbuf[..w * n];
-        match (effective_lower, w) {
-            (true, 4) => trsm_panel_forward_from::<4>(&e, n, lo, diag, seg),
-            (true, 3) => trsm_panel_forward_from::<3>(&e, n, lo, diag, seg),
-            (true, 2) => trsm_panel_forward_from::<2>(&e, n, lo, diag, seg),
-            (true, _) => trsm_panel_forward_from::<1>(&e, n, lo, diag, seg),
-            (false, 4) => trsm_panel_backward_to::<4>(&e, n, hi, diag, seg),
-            (false, 3) => trsm_panel_backward_to::<3>(&e, n, hi, diag, seg),
-            (false, 2) => trsm_panel_backward_to::<2>(&e, n, hi, diag, seg),
-            (false, _) => trsm_panel_backward_to::<1>(&e, n, hi, diag, seg),
+        let gather = |seg: &mut [f64], (lo, hi): (usize, usize)| {
+            for (c, &j) in cols.iter().enumerate() {
+                for i in lo..hi {
+                    seg[i * w + c] = b.get(i, j);
+                }
+            }
+        };
+        gather(seg, rows);
+        trsm_panel(&e, n, lower, rows, bounds.as_deref(), diag, w, seg);
+        if bounds.is_some() && !seg[rows.0 * w..rows.1 * w].iter().all(|v| v.is_finite()) {
+            // A skipped `0 · x` is a no-op only for finite `x`: redo the panel in full.
+            rows = (0, n);
+            gather(seg, rows);
+            trsm_panel(&e, n, lower, rows, None, diag, w, seg);
         }
-        // Scatter step: only the solved boundary rows go back.
         for (c, &j) in cols.iter().enumerate() {
-            for i in lo..hi {
-                b.set(i, j, xbuf[i * w + c]);
+            for i in rows.0..rows.1 {
+                b.set(i, j, seg[i * w + c]);
             }
         }
-        q0 += w;
     }
     Ok(())
-}
-
-/// Boundary-restricted variant of [`syrk`]: `C = alpha * op(A) * op(A)^T + beta * C`
-/// skipping the exact-zero prefix of every row of `op(A)` along the contraction
-/// dimension.
-///
-/// After the forward solve of the explicit assembly the rows of `Xᵀ` (one per local
-/// multiplier) are zero up to the multiplier's first boundary DOF, so the inner
-/// product for `C(i, j)` can start at the later of the two rows' first nonzeros.
-/// Every skipped product multiplies a stored zero, and each accumulator starts at a
-/// literal `+0.0`, so the result is bit-for-bit identical to [`syrk`].
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn boundary_syrk(
-    uplo: Triangle,
-    trans: Transpose,
-    alpha: f64,
-    a: &DenseMatrix,
-    beta: f64,
-    c: &mut DenseMatrix,
-) {
-    boundary_syrk_with_block(uplo, trans, alpha, a, beta, c, kernel_block_size());
-}
-
-fn boundary_syrk_with_block(
-    uplo: Triangle,
-    trans: Transpose,
-    alpha: f64,
-    a: &DenseMatrix,
-    beta: f64,
-    c: &mut DenseMatrix,
-    nb: usize,
-) {
-    let (n, kdim) = op_dims(a, trans);
-    assert_eq!(c.nrows(), n, "boundary_syrk: C has wrong row count");
-    assert_eq!(c.ncols(), n, "boundary_syrk: C has wrong column count");
-    let r = materialize_op_rowmajor(a, trans);
-
-    // First nonzero of every row of op(A) along the contraction dimension.
-    let starts: Vec<usize> = (0..n)
-        .map(|i| {
-            let ri = &r[i * kdim..(i + 1) * kdim];
-            ri.iter().position(|&v| v != 0.0).unwrap_or(kdim)
-        })
-        .collect();
-
-    let mut i0 = 0;
-    while i0 < n {
-        let i1 = (i0 + nb).min(n);
-        let mut j0 = 0;
-        while j0 < n {
-            let j1 = (j0 + nb).min(n);
-            for i in i0..i1 {
-                // Clip the block's column range to the stored triangle of C.
-                let (jlo, jhi) = match uplo {
-                    Triangle::Upper => (j0.max(i), j1),
-                    Triangle::Lower => (j0, j1.min(i + 1)),
-                };
-                if jlo >= jhi {
-                    continue;
-                }
-                let ri = &r[i * kdim..(i + 1) * kdim];
-                let si = starts[i];
-                let mut j = jlo;
-                while j + 4 <= jhi {
-                    let rj0 = &r[j * kdim..(j + 1) * kdim];
-                    let rj1 = &r[(j + 1) * kdim..(j + 2) * kdim];
-                    let rj2 = &r[(j + 2) * kdim..(j + 3) * kdim];
-                    let rj3 = &r[(j + 3) * kdim..(j + 4) * kdim];
-                    // The shared start must cover all four columns of the tile; lanes
-                    // whose own start is later just add exact zeros to a +0.0
-                    // accumulator, which is still bit-identical.
-                    let p0 =
-                        si.max(starts[j].min(starts[j + 1]).min(starts[j + 2]).min(starts[j + 3]));
-                    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-                    for p in p0..kdim {
-                        let av = ri[p];
-                        a0 += av * rj0[p];
-                        a1 += av * rj1[p];
-                        a2 += av * rj2[p];
-                        a3 += av * rj3[p];
-                    }
-                    for (q, acc) in [a0, a1, a2, a3].into_iter().enumerate() {
-                        let old = c.get(i, j + q);
-                        c.set(i, j + q, alpha * acc + beta * old);
-                    }
-                    j += 4;
-                }
-                while j < jhi {
-                    let rj = &r[j * kdim..(j + 1) * kdim];
-                    let mut acc = 0.0;
-                    for p in si.max(starts[j])..kdim {
-                        acc += ri[p] * rj[p];
-                    }
-                    let old = c.get(i, j);
-                    c.set(i, j, alpha * acc + beta * old);
-                    j += 1;
-                }
-            }
-            j0 = j1;
-        }
-        i0 = i1;
-    }
 }
 
 // ---------------------------------------------------------------------------------
@@ -1397,7 +1243,6 @@ mod tests {
         assert_eq!(block_size_from_env(" 64 "), Some(64));
         assert_eq!(block_size_from_env("3"), None);
         assert_eq!(block_size_from_env("nope"), None);
-        assert!(BLOCK_CANDIDATES.contains(&32));
         assert!(kernel_block_size() >= 4);
     }
 
@@ -1481,7 +1326,8 @@ mod tests {
     }
 
     /// A right-hand side whose column `j` is exactly `+0.0` outside its active range
-    /// (a rotating window), mimicking the dense image of a sparse `B̃ᵀ`.
+    /// (a rotating window), mimicking the dense image of a sparse `B̃ᵀ`: the shape on
+    /// which [`trsm`] and [`syrk`] skip work.
     fn boundary_rhs(n: usize, ncols: usize, order: MemoryOrder, seed: usize) -> DenseMatrix {
         let mut b = DenseMatrix::zeros(n, ncols, order);
         if n == 0 {
@@ -1521,8 +1367,8 @@ mod tests {
                             }
                             let mut b1 = boundary_rhs(n, nrhs, order.flipped(), 4);
                             let mut b2 = b1.clone();
-                            sparse_rhs_trsm(uplo, trans, diag, 1.0, &a, &mut b1).unwrap();
-                            trsm(uplo, trans, diag, 1.0, &a, &mut b2).unwrap();
+                            trsm(uplo, trans, diag, 1.0, &a, &mut b1).unwrap();
+                            reference::trsm(uplo, trans, diag, 1.0, &a, &mut b2).unwrap();
                             for i in 0..n {
                                 for j in 0..nrhs {
                                     assert_eq!(
@@ -1542,7 +1388,7 @@ mod tests {
     #[test]
     fn sparse_rhs_trsm_detects_singularity_inside_a_skipped_region() {
         // Column active ranges start at row 2, but the zero pivot sits at row 0: the
-        // sparse kernel must still report it, at the same index as the dense scan.
+        // skipping kernel must still report it, at the same index as the reference.
         let mut a = filled(4, 4, MemoryOrder::RowMajor, 1);
         for i in 0..4 {
             a.set(i, i, 2.0 + i as f64);
@@ -1551,10 +1397,14 @@ mod tests {
         let mut b = DenseMatrix::zeros(4, 2, MemoryOrder::RowMajor);
         b.set(2, 0, 1.0);
         b.set(3, 1, 1.0);
+        let mut b_ref = b.clone();
         let err =
-            sparse_rhs_trsm(Triangle::Lower, Transpose::No, DiagKind::NonUnit, 1.0, &a, &mut b)
-                .unwrap_err();
+            trsm(Triangle::Lower, Transpose::No, DiagKind::NonUnit, 1.0, &a, &mut b).unwrap_err();
         assert_eq!(err, SparseError::SingularDiagonal { index: 0 });
+        let expect =
+            reference::trsm(Triangle::Lower, Transpose::No, DiagKind::NonUnit, 1.0, &a, &mut b_ref)
+                .unwrap_err();
+        assert_eq!(err, expect);
     }
 
     #[test]
@@ -1580,8 +1430,8 @@ mod tests {
                         };
                         let mut c1 = filled(n, n, order.flipped(), 9);
                         let mut c2 = c1.clone();
-                        boundary_syrk(uplo, trans, 0.9, &a, 0.3, &mut c1);
-                        syrk(uplo, trans, 0.9, &a, 0.3, &mut c2);
+                        syrk(uplo, trans, 0.9, &a, 0.3, &mut c1);
+                        reference::syrk(uplo, trans, 0.9, &a, 0.3, &mut c2);
                         for i in 0..n {
                             for j in 0..n {
                                 assert_eq!(
@@ -1604,7 +1454,7 @@ mod tests {
         reference::syrk(Triangle::Lower, Transpose::Yes, 1.0, &a, 0.5, &mut expect);
         for nb in [4usize, 16, 36, 37, 38, 128] {
             let mut c = filled(37, 37, MemoryOrder::RowMajor, 13);
-            boundary_syrk_with_block(Triangle::Lower, Transpose::Yes, 1.0, &a, 0.5, &mut c, nb);
+            syrk_with_block(Triangle::Lower, Transpose::Yes, 1.0, &a, 0.5, &mut c, nb);
             for i in 0..37 {
                 for j in 0..37 {
                     assert_eq!(c.get(i, j).to_bits(), expect.get(i, j).to_bits(), "nb={nb}");

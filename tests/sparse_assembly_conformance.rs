@@ -2,13 +2,14 @@
 //! (`expl sparse legacy/modern`, the boundary-restricted assembly of
 //! arXiv 2509.21037) against the dense explicit GPU family it specialises.
 //!
-//! The sparse-RHS kernels skip only work that provably touches exact zeros, so the
-//! contract is the strongest one available: with the assembly parameters pinned to
-//! the configuration both families share (SYRK path over a dense forward factor),
-//! the assembled local operators `F̃ᵢ`, the operator action `F·p`, the PCPG
-//! solutions and the iteration counts must be **bit-for-bit** identical — not merely
-//! close in norm — for heat transfer in 2D and 3D and linear elasticity in 2D.
-//! CI runs this suite under both `FETI_THREADS=1` and `FETI_THREADS=4`.
+//! Both families execute one host kernel pair, which skips only work that provably
+//! touches exact zeros, so the contract is the strongest one available: with the
+//! assembly parameters pinned to the configuration both families share (SYRK path
+//! over a dense forward factor), the assembled local operators `F̃ᵢ`, the operator
+//! action `F·p`, the PCPG solutions and the iteration counts must be **bit-for-bit**
+//! identical — not merely close in norm — for heat transfer in 2D and 3D and linear
+//! elasticity in 2D.  CI runs this suite under both `FETI_THREADS=1` and
+//! `FETI_THREADS=4`.
 
 mod common;
 
