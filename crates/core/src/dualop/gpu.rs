@@ -21,6 +21,7 @@ use crate::params::{
     DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,
 };
 use crate::schedule::{PhaseScheduler, TimeBreakdown};
+use feti_gpu::assembly::{self as gassembly, ForwardKernel};
 use feti_gpu::sparse::{self as gsparse, SparseFactor};
 use feti_gpu::{blas as gblas, cost, CudaGeneration, GpuCost, GpuDevice, GpuSpec};
 use feti_solver::cholmod::{CholmodFactor, CholmodLike};
@@ -295,176 +296,98 @@ fn apply_implicit_column(
 /// together with the list of device operations that were submitted.
 ///
 /// This is the kernel sequence of §IV-B/IV-C, honouring the full parameter set of
-/// Table I.
+/// Table I.  The sparsity-aware family (`sparse_rhs`, the sequel's boundary-restricted
+/// assembly, arXiv 2509.21037) always takes the SYRK path over a dense forward factor
+/// regardless of `params.path` / `params.*_factor_storage`: its boundary structure
+/// lives in the right-hand side, which only the forward solve can exploit.  Its
+/// memory-order parameters are honoured.  Both families run the forward solve (and
+/// the SYRK) through one exact host kernel, so only the charged costs differ.
 fn assemble_local_on_gpu(
     device: &GpuDevice,
     generation: CudaGeneration,
     params: &ExplicitAssemblyParams,
+    sparse_rhs: bool,
     block: &SubdomainBlock,
     l_csc: &feti_sparse::CscMatrix,
     perm: &Permutation,
 ) -> crate::Result<(DenseMatrix, Vec<GpuCost>)> {
-    let spec = *device.spec();
-    let mut gpu_ops: Vec<GpuCost> = Vec::new();
-    let n = block.num_dofs();
-    let nl = block.num_local_lambdas();
-
-    // Transfer the factor values and the gluing matrix to the device.
-    gpu_ops.push(cost::transfer(&spec, l_csc.nnz() * 12));
-    gpu_ops.push(cost::transfer(&spec, block.b.bytes()));
-
-    // B̃ Pᵀ, and its transpose as the dense right-hand side (done on the device).
-    let bp = perm.permute_cols(&block.b);
-    let bp_t = bp.transposed();
-    let rhs_bytes = n * nl * 8;
-    let _rhs_alloc = device.alloc_temporary(rhs_bytes)?;
-    let (mut x, conv_cost) = gsparse::sparse_to_dense(&spec, &bp_t, params.rhs_order);
-    gpu_ops.push(conv_cost);
-
-    // Forward solve: L X = P B̃ᵀ.
-    let l_csr = l_csc.to_csr();
-    let solve = |storage: FactorStorage,
-                 order: MemoryOrder,
-                 trans: Transpose,
-                 x: &mut DenseMatrix,
-                 gpu_ops: &mut Vec<GpuCost>|
-     -> crate::Result<Vec<feti_gpu::TempAlloc>> {
-        let mut guards = Vec::new();
-        match storage {
-            FactorStorage::Dense => {
-                guards.push(device.alloc_temporary(n * n * 8)?);
-                let (lf, c) = gsparse::sparse_to_dense(&spec, &l_csr, order);
-                gpu_ops.push(c);
-                gpu_ops.push(
-                    gblas::trsm(&spec, Triangle::Lower, trans, DiagKind::NonUnit, 1.0, &lf, x)
-                        .expect("factor is nonsingular"),
-                );
-            }
-            FactorStorage::Sparse => {
-                let sf = match order {
-                    MemoryOrder::RowMajor => SparseFactor::Csr(l_csr.clone()),
-                    MemoryOrder::ColMajor => SparseFactor::Csc(l_csc.clone()),
-                };
-                let ws = gsparse::sparse_trsm_workspace(generation, &sf, n, nl, params.rhs_order);
-                guards.push(device.alloc_temporary(ws.temporary_bytes)?);
-                gpu_ops.push(
-                    gsparse::sparse_trsm(
-                        &spec,
-                        generation,
-                        Triangle::Lower,
-                        trans,
-                        DiagKind::NonUnit,
-                        1.0,
-                        &sf,
-                        x,
-                    )
-                    .expect("factor is nonsingular"),
-                );
-            }
-        }
-        Ok(guards)
+    let order = params.forward_factor_order;
+    let (forward, path) = if sparse_rhs {
+        (ForwardKernel::Boundary(order), Path::Syrk)
+    } else {
+        let forward = match params.forward_factor_storage {
+            FactorStorage::Dense => ForwardKernel::Dense(order),
+            FactorStorage::Sparse => ForwardKernel::Sparse(order),
+        };
+        (forward, params.path)
     };
-
-    let _fwd_guards = solve(
-        params.forward_factor_storage,
-        params.forward_factor_order,
-        Transpose::No,
-        &mut x,
-        &mut gpu_ops,
+    // B̃ Pᵀ: its rows are the columns of the right-hand side P B̃ᵀ.
+    let bp = perm.permute_cols(&block.b);
+    let assembly = gassembly::explicit_assembly(
+        device,
+        generation,
+        forward,
+        params.rhs_order,
+        l_csc,
+        &bp,
+        path == Path::Syrk,
     )?;
-
-    // Second kernel: SYRK (F = Xᵀ X) or backward TRSM followed by SpMM (F = B̃ Pᵀ Y).
-    let mut f = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
-    match params.path {
-        Path::Syrk => {
-            gpu_ops.push(gblas::syrk(&spec, Triangle::Upper, Transpose::Yes, 1.0, &x, 0.0, &mut f));
-            f.symmetrize_from(Triangle::Upper);
-        }
-        Path::Trsm => {
-            let _bwd_guards = solve(
-                params.backward_factor_storage,
-                params.backward_factor_order,
-                Transpose::Yes,
-                &mut x,
-                &mut gpu_ops,
-            )?;
-            gpu_ops.push(gsparse::spmm(&spec, 1.0, &bp, Transpose::No, &x, 0.0, &mut f));
-        }
+    let _fwd_guards = assembly.temporaries;
+    let mut gpu_ops = assembly.costs;
+    if path == Path::Syrk {
+        return Ok((assembly.output, gpu_ops));
     }
-    Ok((f, gpu_ops))
-}
 
-/// Assembles one dense local dual operator through the sparsity-aware kernels of the
-/// sequel paper (arXiv 2509.21037): the right-hand side `P B̃ᵀ` has only
-/// `b.num_nonzero_cols()` boundary DOFs worth of structure, so the forward solve is
-/// modelled boundary-restricted (`sparse_rhs_trsm`) and the SYRK as skipping the
-/// leading zero blocks of the solved panels (`boundary_syrk`).  The host executes the
-/// same exact kernel pair as the dense family, so only the modelled time differs.
-///
-/// The sparse family always takes the SYRK path over a dense factor regardless of
-/// `params.path` / `params.*_factor_storage`: the boundary structure lives in the
-/// right-hand side, which only the forward solve can exploit — after a backward solve
-/// the panels are dense, and the sparse-factor TRSM has no dense panels to restrict.
-/// The memory-order parameters (`rhs_order`, `forward_factor_order`) are honoured.
-fn assemble_local_sparse_rhs_on_gpu(
-    device: &GpuDevice,
-    generation: CudaGeneration,
-    params: &ExplicitAssemblyParams,
-    block: &SubdomainBlock,
-    l_csc: &feti_sparse::CscMatrix,
-    perm: &Permutation,
-) -> crate::Result<(DenseMatrix, Vec<GpuCost>)> {
+    // TRSM path: backward solve Lᵀ Y = X, then F = B̃ Pᵀ Y.
     let spec = *device.spec();
-    let mut gpu_ops: Vec<GpuCost> = Vec::new();
     let n = block.num_dofs();
     let nl = block.num_local_lambdas();
-    let nb = block.b.num_nonzero_cols();
-
-    // Transfer the factor values and the gluing matrix to the device.
-    gpu_ops.push(cost::transfer(&spec, l_csc.nnz() * 12));
-    gpu_ops.push(cost::transfer(&spec, block.b.bytes()));
-
-    // B̃ Pᵀ, and its transpose as the dense right-hand side (done on the device).
-    let bp = perm.permute_cols(&block.b);
-    let bp_t = bp.transposed();
-    let _rhs_alloc = device.alloc_temporary(n * nl * 8)?;
-    let (mut x, conv_cost) = gsparse::sparse_to_dense(&spec, &bp_t, params.rhs_order);
-    gpu_ops.push(conv_cost);
-
-    // Boundary-restricted forward solve: L X = P B̃ᵀ over a dense factor.
-    let l_csr = l_csc.to_csr();
-    let _factor_guard = device.alloc_temporary(n * n * 8)?;
-    let (lf, c) = gsparse::sparse_to_dense(&spec, &l_csr, params.forward_factor_order);
-    gpu_ops.push(c);
-    gpu_ops.push(
-        gblas::sparse_rhs_trsm(
-            &spec,
-            generation,
-            Triangle::Lower,
-            Transpose::No,
-            DiagKind::NonUnit,
-            1.0,
-            &lf,
-            &mut x,
-            nb,
-        )
-        .expect("factor is nonsingular"),
-    );
-
-    // Boundary-restricted SYRK: F = Xᵀ X, skipping the zero prefixes of the panels.
+    let mut x = assembly.output;
+    let order = params.backward_factor_order;
+    let _bwd_guard = match params.backward_factor_storage {
+        FactorStorage::Dense => {
+            let guard = device.alloc_temporary(n * n * 8)?;
+            let (lf, c) = gsparse::sparse_to_dense(&spec, &l_csc.to_csr(), order);
+            gpu_ops.push(c);
+            gpu_ops.push(
+                gblas::trsm(
+                    &spec,
+                    Triangle::Lower,
+                    Transpose::Yes,
+                    DiagKind::NonUnit,
+                    1.0,
+                    &lf,
+                    &mut x,
+                )
+                .expect("factor is nonsingular"),
+            );
+            guard
+        }
+        FactorStorage::Sparse => {
+            let sf = match order {
+                MemoryOrder::RowMajor => SparseFactor::Csr(l_csc.to_csr()),
+                MemoryOrder::ColMajor => SparseFactor::Csc(l_csc.clone()),
+            };
+            let ws = gsparse::sparse_trsm_workspace(generation, &sf, n, nl, params.rhs_order);
+            let guard = device.alloc_temporary(ws.temporary_bytes)?;
+            gpu_ops.push(
+                gsparse::sparse_trsm(
+                    &spec,
+                    generation,
+                    Triangle::Lower,
+                    Transpose::Yes,
+                    DiagKind::NonUnit,
+                    1.0,
+                    &sf,
+                    &mut x,
+                )
+                .expect("factor is nonsingular"),
+            );
+            guard
+        }
+    };
     let mut f = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
-    gpu_ops.push(gblas::boundary_syrk(
-        &spec,
-        generation,
-        Triangle::Upper,
-        Transpose::Yes,
-        1.0,
-        &x,
-        0.0,
-        &mut f,
-        nb,
-    ));
-    f.symmetrize_from(Triangle::Upper);
+    gpu_ops.push(gsparse::spmm(&spec, 1.0, &bp, Transpose::No, &x, 0.0, &mut f));
     Ok((f, gpu_ops))
 }
 
@@ -596,14 +519,13 @@ impl DualOperator for ExplicitGpuOperator {
                 let factor = symbolic.factorize(&block.k_reg)?;
                 let (l_csc, perm) = factor.extract_factor();
                 let cpu = start.elapsed().as_secs_f64();
-                // GPU part: conversions, TRSM/SYRK kernels (asynchronous submissions).
-                let (f, gpu_ops) = if sparse_rhs {
-                    assemble_local_sparse_rhs_on_gpu(
-                        device, generation, &params, block, &l_csc, &perm,
-                    )?
-                } else {
-                    assemble_local_on_gpu(device, generation, &params, block, &l_csc, &perm)?
-                };
+                // GPU part: conversions, TRSM/SYRK kernels (asynchronous submissions),
+                // executed on the host — the simulation overhead, traced apart from the
+                // factorization.
+                let _kernels = feti_trace::span(|| format!("device_kernels[sd={sd}]"));
+                let (f, gpu_ops) = assemble_local_on_gpu(
+                    device, generation, &params, sparse_rhs, block, &l_csc, &perm,
+                )?;
                 Ok((f, cpu, gpu_ops))
             })
             .collect::<crate::Result<Vec<_>>>()?;

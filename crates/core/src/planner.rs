@@ -569,7 +569,8 @@ impl<'a> Planner<'a> {
     }
 
     /// The device operations one explicit assembly submits per subdomain — mirrors
-    /// `assemble_local_on_gpu` exactly (transfers, conversions, TRSM/SYRK kernels).
+    /// `feti_gpu::assembly::explicit_assembly` plus the TRSM path's backward solve and
+    /// SpMM exactly (transfers, conversions, TRSM/SYRK kernels).
     fn explicit_assembly_ops(
         &self,
         generation: CudaGeneration,
@@ -603,7 +604,8 @@ impl<'a> Planner<'a> {
     }
 
     /// The device operations one sparsity-aware explicit assembly submits per
-    /// subdomain — mirrors `assemble_local_sparse_rhs_on_gpu` exactly.  The sparse
+    /// subdomain — mirrors `feti_gpu::assembly::explicit_assembly` with the
+    /// boundary-restricted forward kernel exactly.  The sparse
     /// family pins the SYRK path over a dense factor (the boundary structure lives in
     /// the right-hand side, which only the forward solve can exploit), so the op list
     /// is fixed and independent of the parameter set.

@@ -6,12 +6,14 @@
 //! the paper's observation, it has no first-order effect on the modelled time (it
 //! mostly changes workspace sizes, which are handled in [`crate::sparse`]).
 //!
-//! The dense assembly kernels ([`trsm`], [`syrk`]) and their boundary-restricted
-//! counterparts of the sparsity-aware family ([`sparse_rhs_trsm`], [`boundary_syrk`])
-//! execute the same host kernel pair, `feti_sparse::blas::{trsm, syrk}`, which skips
-//! only work it proves touches exact zeros and stays bit-for-bit identical to the
-//! reference loops.  The two families therefore produce identical numbers and differ
-//! only in the modelled device time their cost models charge.
+//! [`trsm`] and [`syrk`] run the host pair `feti_sparse::blas::{trsm, syrk}`, which
+//! skips only work it proves touches exact zeros and stays bit-for-bit identical to
+//! the reference loops.  The explicit assembly does not call them: its forward TRSM
+//! and SYRK — dense, sparse-factor or boundary-restricted alike — run through
+//! [`crate::assembly::explicit_assembly`], one exact host kernel over the sparse
+//! factor that charges each configuration's own device costs
+//! ([`cost::dense_trsm`], [`cost::sparse_trsm_for`], [`cost::sparse_rhs_trsm`],
+//! [`cost::syrk`], [`cost::boundary_syrk`]).
 
 use crate::cost::{self, GpuCost, GpuSpec};
 use feti_sparse::blas as hostblas;
@@ -130,54 +132,6 @@ pub fn symm_multi(
     cost::symm(spec, a.nrows(), x.ncols())
 }
 
-/// Boundary-restricted triangular solve: the sparse-RHS variant of [`trsm`].
-///
-/// Executes the same host kernel as [`trsm`] (identical results); only the modelled
-/// time differs: the generation-dependent boundary-restricted cost, which degenerates
-/// to [`cost::dense_trsm`] when every row of the factor is boundary.  `boundary_rows`
-/// is the number of distinct boundary DOFs the right-hand side touches (the nonzero
-/// columns of `B̃ᵢ`).
-///
-/// # Errors
-/// Propagates singular-diagonal errors from the host kernel.
-#[allow(clippy::too_many_arguments)]
-pub fn sparse_rhs_trsm(
-    spec: &GpuSpec,
-    generation: crate::CudaGeneration,
-    uplo: Triangle,
-    trans: Transpose,
-    diag: DiagKind,
-    alpha: f64,
-    a: &DenseMatrix,
-    b: &mut DenseMatrix,
-    boundary_rows: usize,
-) -> feti_sparse::Result<GpuCost> {
-    hostblas::trsm(uplo, trans, diag, alpha, a, b)?;
-    Ok(cost::sparse_rhs_trsm(spec, generation, a.nrows(), b.ncols(), boundary_rows))
-}
-
-/// Boundary-restricted symmetric rank-k update: the sparse-operand variant of
-/// [`syrk`].
-///
-/// Executes the same host kernel as [`syrk`] (identical results); the modelled time
-/// scales the dense cost by the generation's boundary work fraction.
-#[allow(clippy::too_many_arguments)]
-pub fn boundary_syrk(
-    spec: &GpuSpec,
-    generation: crate::CudaGeneration,
-    uplo: Triangle,
-    trans: Transpose,
-    alpha: f64,
-    a: &DenseMatrix,
-    beta: f64,
-    c: &mut DenseMatrix,
-    boundary_rows: usize,
-) -> GpuCost {
-    hostblas::syrk(uplo, trans, alpha, a, beta, c);
-    let k = if trans.is_transposed() { a.nrows() } else { a.ncols() };
-    cost::boundary_syrk(spec, generation, c.nrows(), k, boundary_rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,69 +200,6 @@ mod tests {
         // One SYMM-shaped kernel must not cost more than k SYMV kernels.
         let repeated = cost::symv(&s, n).seconds * k as f64;
         assert!(c.seconds <= repeated);
-    }
-
-    #[test]
-    fn sparse_rhs_kernels_match_dense_and_cost_less() {
-        let s = spec();
-        let n = 24;
-        let nrhs = 7;
-        let generation = crate::CudaGeneration::Legacy;
-        let mut a = DenseMatrix::zeros(n, n, MemoryOrder::RowMajor);
-        for i in 0..n {
-            for j in 0..=i {
-                a.set(i, j, ((i * 5 + j * 3) % 9) as f64 * 0.2 - 0.7);
-            }
-            a.set(i, i, 2.0 + i as f64 * 0.1);
-        }
-        // Columns nonzero only on a trailing window (6 boundary rows).
-        let boundary = 6;
-        let mut b0 = DenseMatrix::zeros(n, nrhs, MemoryOrder::ColMajor);
-        for j in 0..nrhs {
-            for i in (n - boundary)..n {
-                b0.set(i, j, ((i + 3 * j) % 5) as f64 * 0.4 - 0.9);
-            }
-        }
-        let mut b_sparse = b0.clone();
-        let mut b_dense = b0.clone();
-        let c_sparse = sparse_rhs_trsm(
-            &s,
-            generation,
-            Triangle::Lower,
-            Transpose::No,
-            DiagKind::NonUnit,
-            1.0,
-            &a,
-            &mut b_sparse,
-            boundary,
-        )
-        .unwrap();
-        let c_dense =
-            trsm(&s, Triangle::Lower, Transpose::No, DiagKind::NonUnit, 1.0, &a, &mut b_dense)
-                .unwrap();
-        for i in 0..n {
-            for j in 0..nrhs {
-                assert_eq!(b_sparse.get(i, j).to_bits(), b_dense.get(i, j).to_bits());
-            }
-        }
-        assert!(c_sparse.seconds < c_dense.seconds);
-
-        let mut f_sparse = DenseMatrix::zeros(nrhs, nrhs, MemoryOrder::RowMajor);
-        let mut f_dense = DenseMatrix::zeros(nrhs, nrhs, MemoryOrder::RowMajor);
-        let y_sparse = boundary_syrk(
-            &s,
-            generation,
-            Triangle::Upper,
-            Transpose::Yes,
-            1.0,
-            &b_sparse,
-            0.0,
-            &mut f_sparse,
-            boundary,
-        );
-        let y_dense = syrk(&s, Triangle::Upper, Transpose::Yes, 1.0, &b_dense, 0.0, &mut f_dense);
-        assert!(f_sparse.max_abs_diff(&f_dense) == 0.0);
-        assert!(y_sparse.seconds < y_dense.seconds);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 // which puts several of them past clippy's argument-count threshold.
 #![allow(clippy::too_many_arguments)]
 
+pub mod assembly;
 pub mod blas;
 pub mod budget;
 pub mod cost;

@@ -2,8 +2,10 @@
 //!
 //! These are the host-side equivalents of the cuBLAS routines used by the paper's
 //! explicit assembly (GEMM, GEMV, SYMV, SYMM, SYRK, TRSM, TRSV).  The simulated GPU
-//! device in `feti-gpu` executes exactly these kernels and charges device time for
-//! them through its cost model.
+//! device in `feti-gpu` executes these kernels and charges device time for them
+//! through its cost model — except the explicit assembly's forward TRSM + SYRK,
+//! which run as one fused exact kernel over the sparse factor ([`crate::reach`],
+//! bit-identical to [`mod@reference`] on the densified operands).
 //!
 //! # Blocked kernels and the bit-for-bit contract
 //!

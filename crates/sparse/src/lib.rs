@@ -25,6 +25,7 @@ pub mod csr;
 pub mod dense;
 pub mod ops;
 pub mod perm;
+pub mod reach;
 
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;

@@ -109,8 +109,21 @@ pub fn sptrsv_csr(
 ) -> Result<()> {
     let n = a.nrows();
     assert_eq!(a.ncols(), n, "sptrsv: A must be square");
-    assert_eq!(b.len(), n, "sptrsv: b has wrong length");
+    sptrsv_compressed(uplo, trans, diag, (a.row_ptr(), a.col_idx(), a.values()), b)
+}
 
+/// The triangular solve of [`sptrsv_csr`] on borrowed compressed-row arrays
+/// `(row_ptr, col_idx, values)` of a square matrix (sorted indices per row).
+fn sptrsv_compressed(
+    uplo: Triangle,
+    trans: Transpose,
+    diag: DiagKind,
+    (ptr, idx, vals): (&[usize], &[usize], &[f64]),
+    b: &mut [f64],
+) -> Result<()> {
+    let n = ptr.len() - 1;
+    assert_eq!(b.len(), n, "sptrsv: b has wrong length");
+    let row = |i: usize| (&idx[ptr[i]..ptr[i + 1]], &vals[ptr[i]..ptr[i + 1]]);
     match trans {
         Transpose::No => {
             let forward = matches!(uplo, Triangle::Lower);
@@ -119,7 +132,8 @@ pub fn sptrsv_csr(
             for i in rows {
                 let mut acc = b[i];
                 let mut diag_val = None;
-                for (&j, &v) in a.row_cols(i).iter().zip(a.row_values(i)) {
+                let (cols, values) = row(i);
+                for (&j, &v) in cols.iter().zip(values) {
                     if j == i {
                         diag_val = Some(v);
                     } else {
@@ -151,7 +165,8 @@ pub fn sptrsv_csr(
                 // x[i] = (b[i]) / a[i][i]; then subtract a[i][j] * x[i] from b[j] for the
                 // off-diagonal entries of row i (which are column entries of A^T).
                 let mut diag_val = None;
-                for (&j, &v) in a.row_cols(i).iter().zip(a.row_values(i)) {
+                let (cols, values) = row(i);
+                for (&j, &v) in cols.iter().zip(values) {
                     if j == i {
                         diag_val = Some(v);
                     }
@@ -167,7 +182,7 @@ pub fn sptrsv_csr(
                     }
                 };
                 b[i] = xi;
-                for (&j, &v) in a.row_cols(i).iter().zip(a.row_values(i)) {
+                for (&j, &v) in cols.iter().zip(values) {
                     if j != i {
                         let in_triangle = match uplo {
                             Triangle::Lower => j < i,
@@ -228,19 +243,20 @@ pub fn sptrsv_csc(
     a: &CscMatrix,
     b: &mut [f64],
 ) -> Result<()> {
-    // A CSC matrix is the CSR of its transpose with the triangle flipped, so delegate.
-    let as_csr_of_t = CsrMatrix::from_raw_parts(
-        a.ncols(),
-        a.nrows(),
-        a.col_ptr().to_vec(),
-        a.row_idx().to_vec(),
-        a.values().to_vec(),
-    );
+    // The CSC arrays of A are the CSR arrays of its transpose, so solve with the
+    // triangle and the transpose flag flipped, on the borrowed arrays.
+    assert_eq!(a.ncols(), a.nrows(), "sptrsv: A must be square");
     let flipped_trans = match trans {
         Transpose::No => Transpose::Yes,
         Transpose::Yes => Transpose::No,
     };
-    sptrsv_csr(uplo.flipped(), flipped_trans, diag, &as_csr_of_t, b)
+    sptrsv_compressed(
+        uplo.flipped(),
+        flipped_trans,
+        diag,
+        (a.col_ptr(), a.row_idx(), a.values()),
+        b,
+    )
 }
 
 /// Sparse triangular solve with a dense multi-column RHS and a CSC factor.
@@ -412,6 +428,60 @@ mod tests {
         sptrsm_csr(Triangle::Lower, Transpose::No, DiagKind::NonUnit, 1.0, &l, &mut b1).unwrap();
         sptrsm_csc(Triangle::Lower, Transpose::No, DiagKind::NonUnit, 1.0, &lcsc, &mut b2).unwrap();
         assert!(b1.max_abs_diff(&b2) < 1e-13);
+    }
+
+    /// The CSC solve works on the borrowed arrays; it must stay bit-identical to the CSR
+    /// solve of the transpose with the triangle and transpose flag flipped (the same
+    /// arrays, reinterpreted — the former copying implementation) for every
+    /// triangle/transpose/diagonal combination, including `-0.0` and non-finite data.
+    #[test]
+    fn sptrsv_csc_is_bit_identical_to_the_csr_path() {
+        let n = 9;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 1.5 + 0.25 * i as f64);
+            for j in 0..i {
+                if (i * 7 + j * 3) % 4 == 0 {
+                    coo.push(i, j, ((i * 5 + j) % 7) as f64 * 0.3 - 0.9);
+                }
+            }
+        }
+        let lower = coo.to_csr();
+        let rhs: Vec<Vec<f64>> = vec![
+            (0..n).map(|i| (i as f64 * 0.7).sin()).collect(),
+            (0..n).map(|i| if i % 3 == 0 { -0.0 } else { 1e300 * i as f64 }).collect(),
+            (0..n).map(|i| if i == 4 { f64::NAN } else { i as f64 - 4.0 }).collect(),
+        ];
+        for a in [lower.transposed(), lower] {
+            let csc = a.to_csc();
+            let as_csr_of_t = CsrMatrix::from_raw_parts(
+                n,
+                n,
+                csc.col_ptr().to_vec(),
+                csc.row_idx().to_vec(),
+                csc.values().to_vec(),
+            );
+            for uplo in [Triangle::Lower, Triangle::Upper] {
+                for trans in [Transpose::No, Transpose::Yes] {
+                    let flipped =
+                        if trans.is_transposed() { Transpose::No } else { Transpose::Yes };
+                    for diag in [DiagKind::NonUnit, DiagKind::Unit] {
+                        for b in &rhs {
+                            let mut got = b.clone();
+                            let mut via_t = b.clone();
+                            let r = sptrsv_csc(uplo, trans, diag, &csc, &mut got);
+                            let rt =
+                                sptrsv_csr(uplo.flipped(), flipped, diag, &as_csr_of_t, &mut via_t);
+                            assert_eq!(r, rt);
+                            for i in 0..n {
+                                let context = format!("{uplo:?} {trans:?} {diag:?} row {i}");
+                                assert_eq!(got[i].to_bits(), via_t[i].to_bits(), "{context}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! identical — not merely close in norm — for heat transfer in 2D and 3D and linear
 //! elasticity in 2D.  CI runs this suite under both `FETI_THREADS=1` and
 //! `FETI_THREADS=4`.
+//!
+//! Because both families share that kernel, comparing them with each other cannot
+//! catch a fault in it.  So an independent oracle pins every `F̃ᵢ` of both families,
+//! under every storage/memory-order combination of the SYRK path, to the scalar
+//! reference TRSM + SYRK on the densified factor and right-hand side.
 
 mod common;
 
@@ -21,6 +26,9 @@ use feti_core::{
     TotalFetiSolver,
 };
 use feti_decompose::DecomposedProblem;
+use feti_solver::cholmod::CholmodLike;
+use feti_solver::SolverOptions;
+use feti_sparse::{blas, DenseMatrix, DiagKind, MemoryOrder, Transpose, Triangle};
 
 /// The assembly configuration the sparse family always executes (its boundary
 /// structure lives in the right-hand side, so only the forward solve changes);
@@ -182,6 +190,86 @@ fn sparse_assembly_never_costs_more_gpu_seconds() {
                 s <= d + 1e-15,
                 "{name} {pair:?}: sparse preprocessing modelled {s:.9}s exceeds dense {d:.9}s"
             );
+        }
+    }
+}
+
+/// `F̃ᵢ = (L⁻¹ P B̃ᵢᵀ)ᵀ (L⁻¹ P B̃ᵢᵀ)` from the scalar reference TRSM and SYRK on the
+/// densified factor and right-hand side, with the factorization the operators use.
+fn reference_local_operator(block: &SubdomainBlock) -> DenseMatrix {
+    let factor = CholmodLike::analyze(&block.k_reg, SolverOptions::default())
+        .factorize(&block.k_reg)
+        .expect("SPD subdomain");
+    let (l, perm) = factor.extract_factor();
+    let dense_l = l.to_dense(MemoryOrder::RowMajor);
+    let mut x = perm.permute_cols(&block.b).transposed().to_dense(MemoryOrder::ColMajor);
+    blas::reference::trsm(Triangle::Lower, Transpose::No, DiagKind::NonUnit, 1.0, &dense_l, &mut x)
+        .expect("nonsingular factor");
+    let nl = block.num_local_lambdas();
+    let mut f = DenseMatrix::zeros(nl, nl, MemoryOrder::RowMajor);
+    blas::reference::syrk(Triangle::Upper, Transpose::Yes, 1.0, &x, 0.0, &mut f);
+    f.symmetrize_from(Triangle::Upper);
+    f
+}
+
+/// Independent oracle: every subdomain's `F̃ᵢ`, for both families and every
+/// factor-storage / factor-order / right-hand-side-order combination of the SYRK
+/// path, is bit-for-bit the reference TRSM + SYRK on the densified operands.
+#[test]
+fn local_operators_match_the_reference_kernels_bitwise() {
+    let approaches = [
+        DualOperatorApproach::ExplicitGpuLegacy,
+        DualOperatorApproach::ExplicitGpuModern,
+        DualOperatorApproach::ExplicitSparseGpuLegacy,
+        DualOperatorApproach::ExplicitSparseGpuModern,
+    ];
+    let orders = [MemoryOrder::RowMajor, MemoryOrder::ColMajor];
+    for (name, spec) in [("heat/2D", common::heat_2d()), ("heat/3D", common::heat_3d())] {
+        let problem = DecomposedProblem::build(&spec);
+        let blocks = SubdomainBlock::from_problem(&problem);
+        let expected: Vec<DenseMatrix> = blocks.iter().map(reference_local_operator).collect();
+        for approach in approaches {
+            for storage in [FactorStorage::Dense, FactorStorage::Sparse] {
+                for forward_factor_order in orders {
+                    for rhs_order in orders {
+                        let params = ExplicitAssemblyParams {
+                            path: Path::Syrk,
+                            forward_factor_storage: storage,
+                            forward_factor_order,
+                            rhs_order,
+                            ..Default::default()
+                        };
+                        let mut op = ExplicitGpuOperator::new(
+                            approach,
+                            blocks.clone(),
+                            problem.num_lambdas,
+                            params,
+                        )
+                        .unwrap();
+                        op.preprocess().unwrap();
+                        for (i, expect) in expected.iter().enumerate() {
+                            let got = op.local_operator(i).expect("F̃ᵢ assembled");
+                            let context = format!(
+                                "{name} {approach:?} {storage:?} factor {forward_factor_order:?} \
+                                 rhs {rhs_order:?}: F̃_{i}"
+                            );
+                            assert_eq!(got.nrows(), expect.nrows(), "{context} shape");
+                            assert_eq!(got.ncols(), expect.ncols(), "{context} shape");
+                            for r in 0..got.nrows() {
+                                for c in 0..got.ncols() {
+                                    assert_eq!(
+                                        got.get(r, c).to_bits(),
+                                        expect.get(r, c).to_bits(),
+                                        "{context}[{r},{c}]: {:e} vs reference {:e}",
+                                        got.get(r, c),
+                                        expect.get(r, c)
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -14,6 +14,10 @@
 //!    worker pool (4 threads, nested parallel regions) land on per-thread stacks:
 //!    no events are lost or dropped, every span carries its worker's label, and
 //!    nesting depths are consistent.
+//! 4. **Host versus simulation time** — in the explicit GPU preprocess, the
+//!    simulated device kernels of subdomain `i` run inside a `device_kernels[sd=i]`
+//!    span nested directly in `factorize[sd=i]`, so a trace separates the host
+//!    factorization from the simulation overhead.
 //!
 //! The trace enable flag is process-global, so every test here serializes on one
 //! gate mutex and restores the disabled state (draining the buffers) on exit —
@@ -235,4 +239,43 @@ fn concurrent_nested_spans_under_the_persistent_pool_are_complete() {
         max_depth < OUTER,
         "span stack depth {max_depth} exceeds anything this test can legally nest"
     );
+}
+
+/// Contract 4: every explicit GPU preprocess records, per subdomain, one
+/// `device_kernels[sd=i]` span nested directly inside its `factorize[sd=i]` span on
+/// the same thread, for the dense and the sparsity-aware family alike.
+#[test]
+fn device_kernel_spans_nest_inside_their_factorize_span() {
+    let _gate = trace_gate();
+    let problem = Arc::new(DecomposedProblem::build(&common::heat_3d()));
+    for approach in
+        [DualOperatorApproach::ExplicitGpuLegacy, DualOperatorApproach::ExplicitSparseGpuModern]
+    {
+        let mut op = build_dual_operator(approach, &problem, None).unwrap();
+        feti_trace::set_enabled(true);
+        op.preprocess().unwrap();
+        let report = feti_trace::take_report();
+        feti_trace::set_enabled(false);
+        assert_eq!(report.dropped_events, 0);
+        for sd in 0..problem.subdomains.len() {
+            let find = |name: String| {
+                let found: Vec<_> = report.spans.iter().filter(|s| s.name == name).collect();
+                assert_eq!(found.len(), 1, "{approach:?}: expected one {name} span");
+                found[0]
+            };
+            let outer = find(format!("factorize[sd={sd}]"));
+            let inner = find(format!("device_kernels[sd={sd}]"));
+            assert_eq!(inner.thread, outer.thread, "{approach:?} sd {sd}: same worker");
+            assert_eq!(inner.depth, outer.depth + 1, "{approach:?} sd {sd}: direct child");
+            assert!(inner.start_us >= outer.start_us, "{approach:?} sd {sd}: starts inside");
+            assert!(
+                inner.start_us + inner.dur_us <= outer.start_us + outer.dur_us + 1e-3,
+                "{approach:?} sd {sd}: ends inside its factorize span"
+            );
+            assert!(
+                inner.dur_us < outer.dur_us,
+                "{approach:?} sd {sd}: host factorization excluded"
+            );
+        }
+    }
 }
