@@ -1,7 +1,8 @@
 //! Performance trajectory at a pinned scale: per-phase wall times of the FETI
-//! pipeline plus blocked-vs-scalar kernel and simplicial-vs-supernodal factorization
-//! comparisons, written as `BENCH_<n>.json` to the current working directory (run it
-//! from the repository root, where the recorded files live).
+//! pipeline plus blocked-vs-scalar kernel comparisons, written as `BENCH_<n>.json` to
+//! the current working directory (run it from the repository root, where the recorded
+//! files live).  The pinned thread count is recorded next to the machine's available
+//! parallelism, so a run that timeshares more threads than cores is visible as such.
 //!
 //! Unlike the figure binaries (which sweep problem sizes), this binary pins one
 //! problem size and one thread count so successive commits produce comparable
@@ -17,9 +18,6 @@
 //!   of the sparse-RHS explicit family over the dense explicit family.
 //! * Every scale enforces a ≥ 5x cached-vs-cold preprocessing speedup through the
 //!   `feti-service` warm-solver cache (the `service` section).
-//! * Every scale enforces a ≥ 5x region-entry latency advantage of the persistent
-//!   parked worker pool over the retained spawn-per-region baseline driver, and
-//!   that `apply` under the persistent pool does not regress (the `pool` section).
 //! * Every scale enforces the `feti-trace` cost gates on the apply microbench
 //!   (the `observability` section): the disabled-path overhead must stay ≤ 2%
 //!   (analytic: trace-call sites per apply times the measured per-call cost of a
@@ -30,7 +28,6 @@ use feti_bench::json::{parse, validate_perf_trajectory, Value};
 use feti_bench::{build_problem, BenchScale};
 use feti_core::{build_dual_operator, DualOperatorApproach, PcpgOptions, TotalFetiSolver};
 use feti_mesh::{Dim, ElementOrder, Physics};
-use feti_solver::{CholmodLike, FactorizationKind, SolverOptions};
 use feti_sparse::{blas, DenseMatrix, DiagKind, MemoryOrder, Side, Transpose, Triangle};
 use std::sync::Arc;
 use std::time::Instant;
@@ -167,35 +164,6 @@ fn measure_kernels(scale: BenchScale) -> (Value, Vec<(String, f64)>) {
     speedups.push((name, speedup));
 
     (Value::Obj(sections), speedups)
-}
-
-fn measure_factorization(problem: &feti_decompose::DecomposedProblem) -> Value {
-    let k_reg = &problem.subdomains[0].k_reg;
-    let simplicial_facade = CholmodLike::analyze(
-        k_reg,
-        SolverOptions { factorization: FactorizationKind::Simplicial, ..SolverOptions::default() },
-    );
-    let supernodal_facade = CholmodLike::analyze(
-        k_reg,
-        SolverOptions { factorization: FactorizationKind::Supernodal, ..SolverOptions::default() },
-    );
-    let simplicial_s = best_of_three(|| {
-        simplicial_facade.factorize(k_reg).expect("k_reg is SPD");
-    });
-    let supernodal_s = best_of_three(|| {
-        supernodal_facade.factorize(k_reg).expect("k_reg is SPD");
-    });
-    println!(
-        "factorization: simplicial {simplicial_s:.6}s, supernodal {supernodal_s:.6}s \
-         ({} supernodes over {} columns)",
-        supernodal_facade.num_supernodes(),
-        supernodal_facade.dim()
-    );
-    Value::obj(vec![
-        ("simplicial_s", Value::Num(simplicial_s)),
-        ("supernodal_s", Value::Num(supernodal_s)),
-        ("num_supernodes", Value::Num(supernodal_facade.num_supernodes() as f64)),
-    ])
 }
 
 fn measure_phases(problem: &Arc<feti_decompose::DecomposedProblem>) -> Value {
@@ -374,118 +342,6 @@ fn measure_service(problem: &Arc<feti_decompose::DecomposedProblem>) -> (Value, 
     (section, preprocess_speedup)
 }
 
-/// Items per region of the region-entry latency microbench: far below the inline
-/// cutoff's concern (both pools disable the cutoff) and small enough that the cost
-/// of a region is dominated by entering and leaving it, not by the work inside.
-const ENTRY_ITEMS: usize = 64;
-
-/// Regions per timed call of the region-entry microbench (amortizes clock
-/// resolution over many entries).
-const ENTRY_REGIONS: usize = 200;
-
-/// Per-region entry cost and end-to-end phase times of the persistent parked pool
-/// vs the retained spawn-per-region baseline driver, both at [`PINNED_THREADS`]
-/// threads with the inline cutoff disabled (so even the tiny microbench regions
-/// actually exercise the pool machinery).  Returns the JSON section plus the
-/// region-entry and apply speedups the gates check.
-fn measure_pool(problem: &Arc<feti_decompose::DecomposedProblem>) -> (Value, f64, f64) {
-    let persistent = rayon::ThreadPoolBuilder::new()
-        .num_threads(PINNED_THREADS)
-        .inline_cutoff(0)
-        .build()
-        .expect("persistent pool construction");
-    let spawn = rayon::ThreadPoolBuilder::new()
-        .num_threads(PINNED_THREADS)
-        .inline_cutoff(0)
-        .spawn_per_region(true)
-        .build()
-        .expect("spawn-per-region pool construction");
-
-    // Region-entry latency: many tiny parallel regions, timed per region.
-    let v: Vec<usize> = (0..ENTRY_ITEMS).collect();
-    let entry_loop = || {
-        use rayon::prelude::*;
-        for _ in 0..ENTRY_REGIONS {
-            let out: Vec<usize> = v.par_iter().map(|&x| x + 1).collect();
-            std::hint::black_box(&out);
-        }
-    };
-    let entry_spawn_s = best_of_three(|| spawn.install(entry_loop)) / ENTRY_REGIONS as f64;
-    let entry_persistent_s =
-        best_of_three(|| persistent.install(entry_loop)) / ENTRY_REGIONS as f64;
-    let entry_speedup = entry_spawn_s / entry_persistent_s.max(SPEEDUP_FLOOR_S);
-
-    // Before/after phase times: preprocess (construction incl. symbolic analysis of
-    // every subdomain) and apply on an assembled explicit operator, under each pool.
-    let preprocess = |pool: &rayon::ThreadPool| {
-        pool.install(|| {
-            best_of_three(|| {
-                let _ = build_dual_operator(DualOperatorApproach::ExplicitCholmod, problem, None)
-                    .expect("benchmark problem fits the device");
-            })
-        })
-    };
-    let preprocess_spawn_s = preprocess(&spawn);
-    let preprocess_persistent_s = preprocess(&persistent);
-    let preprocess_speedup = preprocess_spawn_s / preprocess_persistent_s.max(SPEEDUP_FLOOR_S);
-
-    let apply = |pool: &rayon::ThreadPool| {
-        pool.install(|| {
-            let mut explicit =
-                build_dual_operator(DualOperatorApproach::ExplicitCholmod, problem, None)
-                    .expect("benchmark problem fits the device");
-            explicit.preprocess().expect("k_reg is SPD");
-            let p: Vec<f64> =
-                (0..problem.num_lambdas).map(|i| ((i % 17) as f64) * 0.1 - 0.8).collect();
-            let mut q = vec![0.0; problem.num_lambdas];
-            best_of_three(|| {
-                explicit.apply(&p, &mut q);
-            })
-        })
-    };
-    let apply_spawn_s = apply(&spawn);
-    let apply_persistent_s = apply(&persistent);
-    let apply_speedup = apply_spawn_s / apply_persistent_s.max(SPEEDUP_FLOOR_S);
-
-    println!(
-        "pool: region entry spawn {entry_spawn_s:.9}s vs persistent {entry_persistent_s:.9}s \
-         ({entry_speedup:.1}x); apply {apply_spawn_s:.6}s vs {apply_persistent_s:.6}s \
-         ({apply_speedup:.2}x); preprocess {preprocess_spawn_s:.6}s vs \
-         {preprocess_persistent_s:.6}s ({preprocess_speedup:.2}x)"
-    );
-    let section = Value::obj(vec![
-        ("threads", Value::Num(PINNED_THREADS as f64)),
-        ("inline_cutoff", Value::Num(rayon::current_inline_cutoff() as f64)),
-        (
-            "region_entry",
-            Value::obj(vec![
-                ("items", Value::Num(ENTRY_ITEMS as f64)),
-                ("regions", Value::Num(ENTRY_REGIONS as f64)),
-                ("spawn_per_region_s", Value::Num(entry_spawn_s)),
-                ("persistent_s", Value::Num(entry_persistent_s)),
-                ("speedup", Value::Num(entry_speedup)),
-            ]),
-        ),
-        (
-            "apply",
-            Value::obj(vec![
-                ("spawn_per_region_s", Value::Num(apply_spawn_s)),
-                ("persistent_s", Value::Num(apply_persistent_s)),
-                ("speedup", Value::Num(apply_speedup)),
-            ]),
-        ),
-        (
-            "preprocess",
-            Value::obj(vec![
-                ("spawn_per_region_s", Value::Num(preprocess_spawn_s)),
-                ("persistent_s", Value::Num(preprocess_persistent_s)),
-                ("speedup", Value::Num(preprocess_speedup)),
-            ]),
-        ),
-    ]);
-    (section, entry_speedup, apply_speedup)
-}
-
 /// Applications per timed call of the tracing-overhead microbench (amortizes the
 /// clock resolution and any per-call jitter over many applies).
 const OBS_APPLIES_PER_CALL: usize = 32;
@@ -599,7 +455,14 @@ fn main() {
         BenchScale::Default => "default",
         BenchScale::Full => "full",
     };
-    println!("perf trajectory: scale {scale_name}, {PINNED_THREADS} pinned threads");
+    let available_parallelism =
+        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
+    let oversubscribed = PINNED_THREADS > available_parallelism;
+    println!(
+        "perf trajectory: scale {scale_name}, {PINNED_THREADS} pinned threads on \
+         {available_parallelism} available{}",
+        if oversubscribed { " (oversubscribed)" } else { "" }
+    );
 
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(PINNED_THREADS)
@@ -621,14 +484,12 @@ fn main() {
 
     let (
         (kernels, speedups),
-        factorization,
         phases,
         (sparse_assembly, sparse_speedup),
         (observability, disabled_overhead, enabled_overhead),
     ) = pool.install(|| {
         (
             measure_kernels(scale),
-            measure_factorization(&problem),
             measure_phases(&problem),
             measure_sparse_assembly(scale, &problem),
             measure_observability(&problem),
@@ -639,15 +500,13 @@ fn main() {
     // pool), so it is measured outside the pinned pool's install scope.
     let (service_section, service_speedup) = measure_service(&problem);
 
-    // The pool comparison builds and installs its own pools (persistent vs the
-    // spawn-per-region baseline), so it too runs outside the pinned install scope.
-    let (pool_section, pool_entry_speedup, pool_apply_speedup) = measure_pool(&problem);
-
     let doc = Value::obj(vec![
         ("bench", Value::Str("perf_trajectory".to_string())),
         ("issue", Value::Num(ISSUE as f64)),
         ("scale", Value::Str(scale_name.to_string())),
         ("threads", Value::Num(PINNED_THREADS as f64)),
+        ("available_parallelism", Value::Num(available_parallelism as f64)),
+        ("oversubscribed", Value::Bool(oversubscribed)),
         (
             "problem",
             Value::obj(vec![
@@ -663,9 +522,7 @@ fn main() {
         ("phases", phases),
         ("kernels", kernels),
         ("sparse_assembly", sparse_assembly),
-        ("factorization", factorization),
         ("service", service_section),
-        ("pool", pool_section),
         ("observability", observability),
     ]);
 
@@ -726,22 +583,6 @@ fn main() {
     if service_speedup < 5.0 {
         fail(&format!(
             "cached service preprocessing speedup {service_speedup:.2}x is below the 5x gate"
-        ));
-    }
-
-    // Pool gates: entering a parallel region on the persistent parked pool must be
-    // at least 5x cheaper than spawning and joining threads for it, at every scale —
-    // that per-region cost is exactly what the persistent pool exists to kill.  And
-    // the end-to-end apply phase must not regress under the persistent pool.
-    if pool_entry_speedup < 5.0 {
-        fail(&format!(
-            "persistent-pool region-entry speedup {pool_entry_speedup:.2}x is below the 5x gate"
-        ));
-    }
-    if pool_apply_speedup < 1.0 {
-        fail(&format!(
-            "apply under the persistent pool regressed: {pool_apply_speedup:.2}x vs the \
-             spawn-per-region baseline"
         ));
     }
 

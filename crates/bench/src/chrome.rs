@@ -77,7 +77,6 @@ fn plan_value(plan: &PlanRecord) -> Value {
                         Value::obj(vec![
                             ("rank", Value::Num(c.rank as f64)),
                             ("approach", Value::Str(c.approach.clone())),
-                            ("factorization", Value::Str(c.factorization.clone())),
                             ("params", Value::Str(c.params.clone())),
                             ("fits_device_memory", Value::Bool(c.fits_device_memory)),
                             ("predicted_preprocessing_s", Value::Num(c.predicted_preprocessing_s)),

@@ -344,6 +344,22 @@ pub fn validate_perf_trajectory(doc: &Value) -> Result<(), String> {
     if threads < 1.0 {
         return Err(format!("top level: 'threads' must be >= 1, got {threads}"));
     }
+    let available = require_num(doc, "top level", "available_parallelism")?;
+    if available < 1.0 || available.fract() != 0.0 {
+        return Err(format!(
+            "top level: 'available_parallelism' must be a positive integer, got {available}"
+        ));
+    }
+    match doc.get("oversubscribed") {
+        Some(&Value::Bool(flag)) if flag == (threads > available) => {}
+        Some(Value::Bool(flag)) => {
+            return Err(format!(
+                "top level: 'oversubscribed' {flag} inconsistent with {threads} threads on \
+                 {available} available"
+            ))
+        }
+        _ => return Err("top level: missing boolean 'oversubscribed'".to_string()),
+    }
     let scale = doc
         .get("scale")
         .and_then(Value::as_str)
@@ -394,16 +410,6 @@ pub fn validate_perf_trajectory(doc: &Value) -> Result<(), String> {
         return Err(format!("sparse_assembly.boundary_fraction: above 1 ({frac})"));
     }
 
-    let fact = doc.get("factorization").ok_or_else(|| "missing 'factorization'".to_string())?;
-    require_nonneg(fact, "factorization", "simplicial_s")?;
-    require_nonneg(fact, "factorization", "supernodal_s")?;
-    let nsuper = require_num(fact, "factorization", "num_supernodes")?;
-    if nsuper < 1.0 || nsuper.fract() != 0.0 {
-        return Err(format!(
-            "factorization.num_supernodes: must be a positive integer, got {nsuper}"
-        ));
-    }
-
     let service = doc.get("service").ok_or_else(|| "missing 'service'".to_string())?;
     let jobs = require_num(service, "service", "jobs")?;
     let hits = require_num(service, "service", "cache_hits")?;
@@ -432,40 +438,6 @@ pub fn validate_perf_trajectory(doc: &Value) -> Result<(), String> {
         if (speedup - expected).abs() > 1e-9 * speedup.max(1.0) {
             return Err(format!(
                 "service: {speedup_key} {speedup} inconsistent with {cold}/{cached}"
-            ));
-        }
-    }
-
-    let pool = doc.get("pool").ok_or_else(|| "missing 'pool'".to_string())?;
-    let pool_threads = require_num(pool, "pool", "threads")?;
-    if pool_threads < 2.0 || pool_threads.fract() != 0.0 {
-        return Err(format!("pool.threads: must be an integer >= 2, got {pool_threads}"));
-    }
-    let cutoff = require_num(pool, "pool", "inline_cutoff")?;
-    if cutoff < 0.0 || cutoff.fract() != 0.0 {
-        return Err(format!("pool.inline_cutoff: must be a non-negative integer, got {cutoff}"));
-    }
-    let entry =
-        pool.get("region_entry").ok_or_else(|| "pool: missing 'region_entry'".to_string())?;
-    for key in ["items", "regions"] {
-        let x = require_num(entry, "pool.region_entry", key)?;
-        if x < 1.0 || x.fract() != 0.0 {
-            return Err(format!("pool.region_entry.{key}: must be a positive integer, got {x}"));
-        }
-    }
-    // Each comparison pairs the retained spawn-per-region baseline driver with the
-    // persistent parked pool; the speedup is spawn / persistent with the same 1 ns
-    // denominator floor as the service section.
-    for name in ["region_entry", "apply", "preprocess"] {
-        let section = pool.get(name).ok_or_else(|| format!("pool: missing '{name}'"))?;
-        let label = format!("pool.{name}");
-        let spawn = require_nonneg(section, &label, "spawn_per_region_s")?;
-        let persistent = require_nonneg(section, &label, "persistent_s")?;
-        let speedup = require_nonneg(section, &label, "speedup")?;
-        let expected = spawn / persistent.max(1e-9);
-        if (speedup - expected).abs() > 1e-9 * speedup.max(1.0) {
-            return Err(format!(
-                "{label}: speedup {speedup} inconsistent with {spawn}/{persistent}"
             ));
         }
     }
@@ -553,6 +525,8 @@ mod tests {
             ("issue", Value::Num(6.0)),
             ("scale", Value::Str("quick".to_string())),
             ("threads", Value::Num(4.0)),
+            ("available_parallelism", Value::Num(2.0)),
+            ("oversubscribed", Value::Bool(true)),
             (
                 "problem",
                 Value::obj(vec![
@@ -590,14 +564,6 @@ mod tests {
                 ]),
             ),
             (
-                "factorization",
-                Value::obj(vec![
-                    ("simplicial_s", Value::Num(0.2)),
-                    ("supernodal_s", Value::Num(0.15)),
-                    ("num_supernodes", Value::Num(42.0)),
-                ]),
-            ),
-            (
                 "service",
                 Value::obj(vec![
                     ("jobs", Value::Num(4.0)),
@@ -609,39 +575,6 @@ mod tests {
                     ("cold_latency_s", Value::Num(0.25)),
                     ("cached_latency_s", Value::Num(0.01)),
                     ("latency_speedup", Value::Num(0.25 / 0.01)),
-                ]),
-            ),
-            (
-                "pool",
-                Value::obj(vec![
-                    ("threads", Value::Num(4.0)),
-                    ("inline_cutoff", Value::Num(256.0)),
-                    (
-                        "region_entry",
-                        Value::obj(vec![
-                            ("items", Value::Num(64.0)),
-                            ("regions", Value::Num(200.0)),
-                            ("spawn_per_region_s", Value::Num(2e-4)),
-                            ("persistent_s", Value::Num(5e-6)),
-                            ("speedup", Value::Num(2e-4 / 5e-6)),
-                        ]),
-                    ),
-                    (
-                        "apply",
-                        Value::obj(vec![
-                            ("spawn_per_region_s", Value::Num(4e-4)),
-                            ("persistent_s", Value::Num(1e-4)),
-                            ("speedup", Value::Num(4.0)),
-                        ]),
-                    ),
-                    (
-                        "preprocess",
-                        Value::obj(vec![
-                            ("spawn_per_region_s", Value::Num(6e-3)),
-                            ("persistent_s", Value::Num(5e-3)),
-                            ("speedup", Value::Num(1.2)),
-                        ]),
-                    ),
                 ]),
             ),
             (
@@ -758,40 +691,21 @@ mod tests {
         }
         assert!(validate_perf_trajectory(&doc).is_err());
 
-        // Missing pool section.
+        // Missing available parallelism.
         let mut doc = minimal_valid();
         if let Value::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "pool");
+            pairs.retain(|(k, _)| k != "available_parallelism");
         }
         assert!(validate_perf_trajectory(&doc).is_err());
 
-        // Inconsistent pool region-entry speedup.
+        // An oversubscription flag that contradicts the thread counts.
         let mut doc = minimal_valid();
         if let Value::Obj(pairs) = &mut doc {
-            if let Some((_, Value::Obj(pool))) = pairs.iter_mut().find(|(k, _)| k == "pool") {
-                if let Some((_, Value::Obj(entry))) =
-                    pool.iter_mut().find(|(k, _)| k == "region_entry")
-                {
-                    entry.iter_mut().for_each(|(k, v)| {
-                        if k == "speedup" {
-                            *v = Value::Num(1.0);
-                        }
-                    });
+            pairs.iter_mut().for_each(|(k, v)| {
+                if k == "oversubscribed" {
+                    *v = Value::Bool(false);
                 }
-            }
-        }
-        assert!(validate_perf_trajectory(&doc).is_err());
-
-        // A single-threaded pool comparison is meaningless.
-        let mut doc = minimal_valid();
-        if let Value::Obj(pairs) = &mut doc {
-            if let Some((_, Value::Obj(pool))) = pairs.iter_mut().find(|(k, _)| k == "pool") {
-                pool.iter_mut().for_each(|(k, v)| {
-                    if k == "threads" {
-                        *v = Value::Num(1.0);
-                    }
-                });
-            }
+            });
         }
         assert!(validate_perf_trajectory(&doc).is_err());
 

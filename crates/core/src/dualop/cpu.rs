@@ -39,11 +39,8 @@ impl CpuFactor {
     }
 }
 
-fn make_symbolic(
-    approach: DualOperatorApproach,
-    block: &SubdomainBlock,
-    opts: SolverOptions,
-) -> CpuSymbolic {
+fn make_symbolic(approach: DualOperatorApproach, block: &SubdomainBlock) -> CpuSymbolic {
+    let opts = SolverOptions::default();
     match approach {
         DualOperatorApproach::ImplicitMkl | DualOperatorApproach::ExplicitMkl => {
             CpuSymbolic::Mkl(PardisoLike::analyze(&block.k_reg, opts))
@@ -73,19 +70,8 @@ impl ImplicitCpuOperator {
         blocks: Vec<SubdomainBlock>,
         num_lambdas: usize,
     ) -> Self {
-        Self::new_with_options(approach, blocks, num_lambdas, SolverOptions::default())
-    }
-
-    /// Like [`Self::new`] with explicit solver options (factorization kind, ordering).
-    #[must_use]
-    pub fn new_with_options(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        opts: SolverOptions,
-    ) -> Self {
         let symbolic: Vec<CpuSymbolic> =
-            blocks.par_iter().with_max_len(1).map(|b| make_symbolic(approach, b, opts)).collect();
+            blocks.par_iter().with_max_len(1).map(|b| make_symbolic(approach, b)).collect();
         let factors = blocks.iter().map(|_| None).collect();
         Self { approach, blocks, num_lambdas, symbolic, factors, stats: SharedStats::default() }
     }
@@ -190,19 +176,8 @@ impl ExplicitCpuOperator {
         blocks: Vec<SubdomainBlock>,
         num_lambdas: usize,
     ) -> Self {
-        Self::new_with_options(approach, blocks, num_lambdas, SolverOptions::default())
-    }
-
-    /// Like [`Self::new`] with explicit solver options (factorization kind, ordering).
-    #[must_use]
-    pub fn new_with_options(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        opts: SolverOptions,
-    ) -> Self {
         let symbolic: Vec<CpuSymbolic> =
-            blocks.par_iter().with_max_len(1).map(|b| make_symbolic(approach, b, opts)).collect();
+            blocks.par_iter().with_max_len(1).map(|b| make_symbolic(approach, b)).collect();
         let f_local = blocks.iter().map(|_| None).collect();
         Self { approach, blocks, num_lambdas, symbolic, f_local, stats: SharedStats::default() }
     }

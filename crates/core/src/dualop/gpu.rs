@@ -61,24 +61,11 @@ impl ImplicitGpuOperator {
         blocks: Vec<SubdomainBlock>,
         num_lambdas: usize,
     ) -> crate::Result<Self> {
-        Self::new_with_options(approach, blocks, num_lambdas, SolverOptions::default())
-    }
-
-    /// Like [`Self::new`] with explicit solver options (factorization kind, ordering).
-    ///
-    /// # Errors
-    /// Returns an error if the device cannot hold the persistent structures.
-    pub fn new_with_options(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        opts: SolverOptions,
-    ) -> crate::Result<Self> {
         let generation = approach.generation().unwrap_or(CudaGeneration::Legacy);
         let symbolic: Vec<CholmodLike> = blocks
             .par_iter()
             .with_max_len(1)
-            .map(|b| CholmodLike::analyze(&b.k_reg, opts))
+            .map(|b| CholmodLike::analyze(&b.k_reg, SolverOptions::default()))
             .collect();
         let device = GpuDevice::a100_like();
         for (b, s) in blocks.iter().zip(&symbolic) {
@@ -418,25 +405,11 @@ impl ExplicitGpuOperator {
         num_lambdas: usize,
         params: ExplicitAssemblyParams,
     ) -> crate::Result<Self> {
-        Self::new_with_options(approach, blocks, num_lambdas, params, SolverOptions::default())
-    }
-
-    /// Like [`Self::new`] with explicit solver options (factorization kind, ordering).
-    ///
-    /// # Errors
-    /// Returns an error if the device cannot hold the persistent structures.
-    pub fn new_with_options(
-        approach: DualOperatorApproach,
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        params: ExplicitAssemblyParams,
-        opts: SolverOptions,
-    ) -> crate::Result<Self> {
         let generation = approach.generation().unwrap_or(CudaGeneration::Legacy);
         let symbolic: Vec<CholmodLike> = blocks
             .par_iter()
             .with_max_len(1)
-            .map(|b| CholmodLike::analyze(&b.k_reg, opts))
+            .map(|b| CholmodLike::analyze(&b.k_reg, SolverOptions::default()))
             .collect();
         let device = GpuDevice::a100_like();
         for (b, s) in blocks.iter().zip(&symbolic) {
@@ -734,25 +707,10 @@ impl HybridOperator {
         num_lambdas: usize,
         params: ExplicitAssemblyParams,
     ) -> crate::Result<Self> {
-        Self::new_with_options(blocks, num_lambdas, params, SolverOptions::default())
-    }
-
-    /// Like [`Self::new`] with explicit solver options.  The PARDISO-like facade
-    /// always factorizes simplicially (it needs sparse-right-hand-side solves over
-    /// the scalar factor), so only the ordering and pivot tolerance take effect.
-    ///
-    /// # Errors
-    /// Returns an error if the device cannot hold the persistent structures.
-    pub fn new_with_options(
-        blocks: Vec<SubdomainBlock>,
-        num_lambdas: usize,
-        params: ExplicitAssemblyParams,
-        opts: SolverOptions,
-    ) -> crate::Result<Self> {
         let symbolic: Vec<PardisoLike> = blocks
             .par_iter()
             .with_max_len(1)
-            .map(|b| PardisoLike::analyze(&b.k_reg, opts))
+            .map(|b| PardisoLike::analyze(&b.k_reg, SolverOptions::default()))
             .collect();
         let device = GpuDevice::a100_like();
         for b in &blocks {

@@ -13,7 +13,6 @@ pub mod gpu;
 use crate::params::{DualOperatorApproach, ExplicitAssemblyParams};
 use crate::schedule::TimeBreakdown;
 use feti_decompose::DecomposedProblem;
-use feti_solver::SolverOptions;
 use feti_sparse::{CsrMatrix, DenseMatrix};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -228,21 +227,6 @@ pub fn build_dual_operator(
     problem: &DecomposedProblem,
     params: Option<ExplicitAssemblyParams>,
 ) -> crate::Result<Box<dyn DualOperator>> {
-    build_dual_operator_with_options(approach, problem, params, SolverOptions::default())
-}
-
-/// Like [`build_dual_operator`] with explicit solver options — in particular the
-/// numeric factorization kind ([`feti_solver::FactorizationKind`]) the planner prices
-/// and selects.  Both kinds yield bit-identical operators; only wall time differs.
-///
-/// # Errors
-/// Returns an error if the simulated device cannot hold the persistent structures.
-pub fn build_dual_operator_with_options(
-    approach: DualOperatorApproach,
-    problem: &DecomposedProblem,
-    params: Option<ExplicitAssemblyParams>,
-    solver_options: SolverOptions,
-) -> crate::Result<Box<dyn DualOperator>> {
     let blocks = SubdomainBlock::from_problem(problem);
     let num_lambdas = problem.num_lambdas;
     let resolved_params = params.unwrap_or_else(|| {
@@ -255,48 +239,22 @@ pub fn build_dual_operator_with_options(
     });
     match approach {
         DualOperatorApproach::ImplicitMkl | DualOperatorApproach::ImplicitCholmod => {
-            Ok(Box::new(cpu::ImplicitCpuOperator::new_with_options(
-                approach,
-                blocks,
-                num_lambdas,
-                solver_options,
-            )))
+            Ok(Box::new(cpu::ImplicitCpuOperator::new(approach, blocks, num_lambdas)))
         }
         DualOperatorApproach::ExplicitMkl | DualOperatorApproach::ExplicitCholmod => {
-            Ok(Box::new(cpu::ExplicitCpuOperator::new_with_options(
-                approach,
-                blocks,
-                num_lambdas,
-                solver_options,
-            )))
+            Ok(Box::new(cpu::ExplicitCpuOperator::new(approach, blocks, num_lambdas)))
         }
         DualOperatorApproach::ImplicitGpuLegacy | DualOperatorApproach::ImplicitGpuModern => {
-            Ok(Box::new(gpu::ImplicitGpuOperator::new_with_options(
-                approach,
-                blocks,
-                num_lambdas,
-                solver_options,
-            )?))
+            Ok(Box::new(gpu::ImplicitGpuOperator::new(approach, blocks, num_lambdas)?))
         }
         DualOperatorApproach::ExplicitGpuLegacy
         | DualOperatorApproach::ExplicitGpuModern
         | DualOperatorApproach::ExplicitSparseGpuLegacy
-        | DualOperatorApproach::ExplicitSparseGpuModern => {
-            Ok(Box::new(gpu::ExplicitGpuOperator::new_with_options(
-                approach,
-                blocks,
-                num_lambdas,
-                resolved_params,
-                solver_options,
-            )?))
-        }
+        | DualOperatorApproach::ExplicitSparseGpuModern => Ok(Box::new(
+            gpu::ExplicitGpuOperator::new(approach, blocks, num_lambdas, resolved_params)?,
+        )),
         DualOperatorApproach::ExplicitHybrid => {
-            Ok(Box::new(gpu::HybridOperator::new_with_options(
-                blocks,
-                num_lambdas,
-                resolved_params,
-                solver_options,
-            )?))
+            Ok(Box::new(gpu::HybridOperator::new(blocks, num_lambdas, resolved_params)?))
         }
     }
 }

@@ -102,30 +102,6 @@ impl TotalFetiSolver {
         Self::from_parts(problem, dual_op, options)
     }
 
-    /// Like [`TotalFetiSolver::new`] with explicit [`SolverOptions`] — in particular
-    /// the host numeric factorization kind, which a planner or service resolves per
-    /// job.
-    ///
-    /// # Errors
-    /// Returns an error if a subdomain factorization fails or the coarse problem is
-    /// singular.
-    pub fn new_with_solver_options(
-        problem: impl Into<Arc<DecomposedProblem>>,
-        approach: DualOperatorApproach,
-        params: Option<ExplicitAssemblyParams>,
-        solver_options: SolverOptions,
-        options: PcpgOptions,
-    ) -> Result<Self> {
-        let problem = problem.into();
-        let dual_op = crate::dualop::build_dual_operator_with_options(
-            approach,
-            &problem,
-            params,
-            solver_options,
-        )?;
-        Self::from_parts(problem, dual_op, options)
-    }
-
     /// Creates a solver whose dual-operator approach and explicit-assembly parameters
     /// are chosen by the cost-model [`Planner`]: every approach × parameter
     /// combination is estimated a priori on a device described by `gpu`, amortized

@@ -26,9 +26,7 @@ pub mod params;
 pub mod planner;
 pub mod schedule;
 
-pub use dualop::{
-    build_dual_operator, build_dual_operator_with_options, DualOperator, DualOperatorStats,
-};
+pub use dualop::{build_dual_operator, DualOperator, DualOperatorStats};
 pub use feti::{FetiSolution, LoadCase, PcpgOptions, TotalFetiSolver};
 pub use params::{
     DualOperatorApproach, ExplicitAssemblyParams, FactorStorage, Path, ScatterGather,
@@ -37,7 +35,7 @@ pub use planner::{HostSpec, Plan, PlanCacheKey, PlanCandidate, Planner};
 pub use schedule::{PhaseScheduler, TimeBreakdown};
 
 /// Installs the [`feti_trace`] hooks into the rayon shim: every parallel region
-/// dispatch bumps a counter named after its kind (inline / persistent / spawned)
+/// dispatch bumps a counter named after its kind (inline / persistent)
 /// and records the region's item count in the `rayon.region_items` histogram.
 /// Idempotent; the hook is a branch on a relaxed atomic while tracing is disabled.
 pub fn install_trace_hooks() {
@@ -48,7 +46,6 @@ pub fn install_trace_hooks() {
         let kind = match dispatch {
             rayon::RegionDispatch::Inline => "rayon.region.inline",
             rayon::RegionDispatch::Persistent => "rayon.region.persistent",
-            rayon::RegionDispatch::Spawned => "rayon.region.spawned",
         };
         feti_trace::counter_add(kind, 1);
         feti_trace::histogram_record("rayon.region_items", items as f64);

@@ -10,8 +10,8 @@
 //! preprocessing over an expected PCPG iteration count, and constructs the winner.
 //!
 //! The estimates are built from structure alone: subdomain sizes, gluing-matrix
-//! sparsity and the *symbolic* factor sizes reported by the solver facades (symbolic
-//! analysis inspects only the sparsity pattern — no numeric factorization runs).  The
+//! sparsity and the *symbolic* factor size of each subdomain (symbolic analysis
+//! inspects only the sparsity pattern — no numeric factorization runs).  The
 //! GPU side of an estimate therefore reproduces the modelled device time of an actual
 //! run exactly; the CPU side is priced by a calibrated [`HostSpec`] roofline since real
 //! host time can only be measured.
@@ -23,9 +23,7 @@ use crate::params::{
 use crate::schedule::{PhaseScheduler, TimeBreakdown};
 use feti_decompose::DecomposedProblem;
 use feti_gpu::{cost, CudaGeneration, GpuCost, GpuSpec};
-use feti_solver::cholmod::CholmodLike;
-use feti_solver::pardiso::PardisoLike;
-use feti_solver::{FactorizationKind, SolverOptions};
+use feti_solver::{SolverOptions, SymbolicCholesky};
 
 /// Roofline description of the host: effective per-thread FP64 throughput and memory
 /// bandwidth, plus a per-subdomain-task overhead (dispatch, allocation).
@@ -130,12 +128,9 @@ struct SubdomainShape {
     nb: usize,
     /// Device footprint of `B̃ᵢ` in bytes.
     b_bytes: usize,
-    /// Symbolic factor size of the CHOLMOD-like solver (used by all GPU approaches).
-    fnnz_cholmod: usize,
-    /// Number of supernodes of the CHOLMOD-like factor (prices the supernodal kernel).
-    nsuper_cholmod: usize,
-    /// Symbolic factor size of the MKL-PARDISO-like solver.
-    fnnz_mkl: usize,
+    /// Symbolic factor size.  Both solver facades run the same symbolic analysis
+    /// with the same default options, so one count serves every approach.
+    fnnz: usize,
 }
 
 /// The estimated cost of running one approach with one parameter set.
@@ -146,9 +141,6 @@ pub struct PlanCandidate {
     /// The explicit-assembly parameters the estimate assumed (CPU-only approaches
     /// ignore them).
     pub params: ExplicitAssemblyParams,
-    /// The host numeric factorization kind the estimate assumed.  Both kinds produce
-    /// bit-identical factors, so this only shifts the priced host preprocessing time.
-    pub factorization: FactorizationKind,
     /// Estimated FETI preprocessing cost under the overlapped phase schedule.
     pub preprocessing: TimeBreakdown,
     /// Estimated cost of one dual-operator application.
@@ -207,12 +199,7 @@ impl Plan {
     /// device rejects the persistent allocations).
     pub fn build(&self, problem: &DecomposedProblem) -> crate::Result<Box<dyn DualOperator>> {
         let best = self.best();
-        crate::dualop::build_dual_operator_with_options(
-            best.approach,
-            problem,
-            Some(best.params),
-            SolverOptions { factorization: best.factorization, ..SolverOptions::default() },
-        )
+        crate::dualop::build_dual_operator(best.approach, problem, Some(best.params))
     }
 }
 
@@ -229,26 +216,20 @@ pub struct Planner<'a> {
 impl<'a> Planner<'a> {
     /// Creates a planner for `problem` on a device described by `gpu`.
     ///
-    /// Runs one symbolic analysis per subdomain and solver facade (sparsity only — no
-    /// numeric work) to learn the factor sizes the estimates need.
+    /// Runs one symbolic analysis per subdomain (sparsity only — no numeric work) to
+    /// learn the factor sizes the estimates need.
     #[must_use]
     pub fn new(problem: &'a DecomposedProblem, gpu: GpuSpec) -> Self {
         let shapes = problem
             .subdomains
             .iter()
-            .map(|sd| {
-                let cholmod = CholmodLike::analyze(&sd.k_reg, SolverOptions::default());
-                SubdomainShape {
-                    n: sd.num_dofs(),
-                    nl: sd.num_local_lambdas(),
-                    nnz_b: sd.gluing.nnz(),
-                    nb: sd.gluing.num_nonzero_cols(),
-                    b_bytes: sd.gluing.bytes(),
-                    fnnz_cholmod: cholmod.factor_nnz(),
-                    nsuper_cholmod: cholmod.num_supernodes(),
-                    fnnz_mkl: PardisoLike::analyze(&sd.k_reg, SolverOptions::default())
-                        .factor_nnz(),
-                }
+            .map(|sd| SubdomainShape {
+                n: sd.num_dofs(),
+                nl: sd.num_local_lambdas(),
+                nnz_b: sd.gluing.nnz(),
+                nb: sd.gluing.num_nonzero_cols(),
+                b_bytes: sd.gluing.bytes(),
+                fnnz: SymbolicCholesky::analyze(&sd.k_reg, &SolverOptions::default()).factor_nnz(),
             })
             .collect();
         Self { problem, gpu, host: HostSpec::calibrated(), shapes }
@@ -286,17 +267,7 @@ impl<'a> Planner<'a> {
         let mut candidates = Vec::new();
         for approach in DualOperatorApproach::all() {
             for params in self.params_candidates(approach, full_sweep) {
-                // Simplicial first, so a tie (the kinds only differ in host
-                // preprocessing price) resolves to the simpler kernel under the
-                // stable sort below.
                 candidates.push(self.estimate(approach, params));
-                if Self::uses_cholmod_factorization(approach) {
-                    candidates.push(self.estimate_with_factorization(
-                        approach,
-                        params,
-                        FactorizationKind::Supernodal,
-                    ));
-                }
             }
         }
         candidates.sort_by(|a, b| {
@@ -330,7 +301,6 @@ impl<'a> Planner<'a> {
                 .map(|(rank, c)| feti_trace::PlanCandidateRecord {
                     rank,
                     approach: c.approach.label().to_string(),
-                    factorization: format!("{:?}", c.factorization),
                     params: format!(
                         "path={:?} fwd={:?}/{:?} bwd={:?}/{:?} rhs={:?} sg={:?}",
                         c.params.path,
@@ -384,45 +354,13 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Whether an approach factorizes through the CHOLMOD-like facade, whose numeric
-    /// kernel (simplicial vs supernodal) is selectable.  The MKL-backed approaches
-    /// always factorize simplicially.
-    fn uses_cholmod_factorization(approach: DualOperatorApproach) -> bool {
-        !matches!(
-            approach,
-            DualOperatorApproach::ImplicitMkl
-                | DualOperatorApproach::ExplicitMkl
-                | DualOperatorApproach::ExplicitHybrid
-        )
-    }
-
     /// Estimates one approach with one parameter set — no execution, structure only.
-    /// Prices the default (simplicial) host factorization.
     #[must_use]
     pub fn estimate(
         &self,
         approach: DualOperatorApproach,
         params: ExplicitAssemblyParams,
     ) -> PlanCandidate {
-        self.estimate_with_factorization(approach, params, FactorizationKind::Simplicial)
-    }
-
-    /// Estimates one approach with one parameter set and an explicit host
-    /// factorization kind.  The kind only reprices the host factorization phase (the
-    /// kinds are bit-identical in their output); approaches that do not factorize
-    /// through the CHOLMOD-like facade ignore it.
-    #[must_use]
-    pub fn estimate_with_factorization(
-        &self,
-        approach: DualOperatorApproach,
-        params: ExplicitAssemblyParams,
-        factorization: FactorizationKind,
-    ) -> PlanCandidate {
-        let kind = if Self::uses_cholmod_factorization(approach) {
-            factorization
-        } else {
-            FactorizationKind::Simplicial
-        };
         let generation = approach.generation().unwrap_or(CudaGeneration::Legacy);
         // One modelled worker and one stream per host thread, matching what the
         // executed phases use.
@@ -431,36 +369,32 @@ impl<'a> Planner<'a> {
         match approach {
             DualOperatorApproach::ImplicitMkl | DualOperatorApproach::ImplicitCholmod => {
                 for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = self.factor_nnz(approach, s);
-                    pre.record_subdomain(i, self.host_factorize(fnnz, s, kind), &[]);
-                    app.record_subdomain(i, self.host_implicit_apply(fnnz, s), &[]);
+                    pre.record_subdomain(i, self.host_factorize(s), &[]);
+                    app.record_subdomain(i, self.host_implicit_apply(s), &[]);
                 }
             }
             DualOperatorApproach::ExplicitMkl | DualOperatorApproach::ExplicitCholmod => {
                 for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = self.factor_nnz(approach, s);
-                    let assemble = self.host_factorize(fnnz, s, kind) + self.host_schur(fnnz, s);
+                    let assemble = self.host_factorize(s) + self.host_schur(s);
                     pre.record_subdomain(i, assemble, &[]);
                     app.record_subdomain(i, self.host_symv(s.nl), &[]);
                 }
             }
             DualOperatorApproach::ImplicitGpuLegacy | DualOperatorApproach::ImplicitGpuModern => {
                 for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = s.fnnz_cholmod;
                     pre.record_subdomain(
                         i,
-                        self.host_factorize(fnnz, s, kind),
-                        &[cost::transfer(&self.gpu, fnnz * 12)],
+                        self.host_factorize(s),
+                        &[cost::transfer(&self.gpu, s.fnnz * 12)],
                     );
                     app.record_subdomain(i, 0.0, &self.implicit_gpu_apply_ops(generation, s));
                 }
             }
             DualOperatorApproach::ExplicitGpuLegacy | DualOperatorApproach::ExplicitGpuModern => {
                 for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = s.fnnz_cholmod;
                     pre.record_subdomain(
                         i,
-                        self.host_factorize(fnnz, s, kind),
+                        self.host_factorize(s),
                         &self.explicit_assembly_ops(generation, &params, s),
                     );
                 }
@@ -469,10 +403,9 @@ impl<'a> Planner<'a> {
             DualOperatorApproach::ExplicitSparseGpuLegacy
             | DualOperatorApproach::ExplicitSparseGpuModern => {
                 for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = s.fnnz_cholmod;
                     pre.record_subdomain(
                         i,
-                        self.host_factorize(fnnz, s, kind),
+                        self.host_factorize(s),
                         &self.sparse_assembly_ops(generation, s),
                     );
                 }
@@ -480,8 +413,7 @@ impl<'a> Planner<'a> {
             }
             DualOperatorApproach::ExplicitHybrid => {
                 for (i, s) in self.shapes.iter().enumerate() {
-                    let fnnz = s.fnnz_mkl;
-                    let cpu = self.host_factorize(fnnz, s, kind) + self.host_schur(fnnz, s);
+                    let cpu = self.host_factorize(s) + self.host_schur(s);
                     pre.record_subdomain(i, cpu, &[cost::transfer(&self.gpu, s.nl * s.nl * 8 / 2)]);
                 }
                 self.record_explicit_apply(&mut app, &params);
@@ -491,7 +423,6 @@ impl<'a> Planner<'a> {
         PlanCandidate {
             approach,
             params,
-            factorization: kind,
             preprocessing: pre.finish(),
             apply: app.finish(),
             fits_device_memory: persistent_device_bytes <= self.gpu.memory_capacity_bytes,
@@ -499,27 +430,10 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Which solver facade's factor an approach uses.
-    fn factor_nnz(&self, approach: DualOperatorApproach, s: &SubdomainShape) -> usize {
-        match approach {
-            DualOperatorApproach::ImplicitMkl
-            | DualOperatorApproach::ExplicitMkl
-            | DualOperatorApproach::ExplicitHybrid => s.fnnz_mkl,
-            _ => s.fnnz_cholmod,
-        }
-    }
-
     /// Host cost of one numeric Cholesky factorization, priced by `feti-gpu`'s host
-    /// work model ([`cost::host_factor_work_simplicial`] /
-    /// [`cost::host_factor_work_supernodal`]): identical flops for both kinds, less
-    /// index traffic for wide supernodes.
-    fn host_factorize(&self, fnnz: usize, s: &SubdomainShape, kind: FactorizationKind) -> f64 {
-        let (bytes, flops) = match kind {
-            FactorizationKind::Simplicial => cost::host_factor_work_simplicial(fnnz, s.n),
-            FactorizationKind::Supernodal => {
-                cost::host_factor_work_supernodal(fnnz, s.n, s.nsuper_cholmod)
-            }
-        };
+    /// work model ([`cost::host_factor_work_simplicial`]).
+    fn host_factorize(&self, s: &SubdomainShape) -> f64 {
+        let (bytes, flops) = cost::host_factor_work_simplicial(s.fnnz, s.n);
         self.host.seconds(bytes, flops)
     }
 
@@ -527,17 +441,17 @@ impl<'a> Planner<'a> {
     /// solves through the factor.  The ~19 effective bytes per stored entry are
     /// calibrated against the measured Fig. 5 application sweeps (the solves reuse
     /// index arrays, so they stream less than the raw two-pass estimate).
-    fn host_implicit_apply(&self, fnnz: usize, s: &SubdomainShape) -> f64 {
-        let bytes = 19.0 * (s.nnz_b + fnnz) as f64;
-        let flops = (4 * s.nnz_b + 4 * fnnz) as f64;
+    fn host_implicit_apply(&self, s: &SubdomainShape) -> f64 {
+        let bytes = 19.0 * (s.nnz_b + s.fnnz) as f64;
+        let flops = (4 * s.nnz_b + 4 * s.fnnz) as f64;
         self.host.seconds(bytes, flops)
     }
 
     /// Host cost of assembling one dense `F̃ᵢ` (Schur complement or triangular solves
     /// with `nlᵢ` right-hand sides — the flop counts agree to first order).
-    fn host_schur(&self, fnnz: usize, s: &SubdomainShape) -> f64 {
-        let flops = (2 * fnnz * s.nl + 2 * s.nnz_b * s.nl) as f64;
-        let bytes = (12 * fnnz + 8 * s.n * s.nl) as f64;
+    fn host_schur(&self, s: &SubdomainShape) -> f64 {
+        let flops = (2 * s.fnnz * s.nl + 2 * s.nnz_b * s.nl) as f64;
+        let bytes = (12 * s.fnnz + 8 * s.n * s.nl) as f64;
         self.host.seconds(bytes, flops)
     }
 
@@ -561,8 +475,8 @@ impl<'a> Planner<'a> {
         vec![
             cost::transfer(&self.gpu, s.nl * 8),
             cost::spmv(&self.gpu, s.nnz_b, s.nl),
-            cost::sparse_trsm_for(&self.gpu, generation, s.fnnz_cholmod, s.n, 1),
-            cost::sparse_trsm_for(&self.gpu, generation, s.fnnz_cholmod, s.n, 1),
+            cost::sparse_trsm_for(&self.gpu, generation, s.fnnz, s.n, 1),
+            cost::sparse_trsm_for(&self.gpu, generation, s.fnnz, s.n, 1),
             cost::spmv(&self.gpu, s.nnz_b, s.nl),
             cost::transfer(&self.gpu, s.nl * 8),
         ]
@@ -577,7 +491,7 @@ impl<'a> Planner<'a> {
         params: &ExplicitAssemblyParams,
         s: &SubdomainShape,
     ) -> Vec<GpuCost> {
-        let fnnz = s.fnnz_cholmod;
+        let fnnz = s.fnnz;
         let mut ops = vec![
             cost::transfer(&self.gpu, fnnz * 12),
             cost::transfer(&self.gpu, s.b_bytes),
@@ -610,7 +524,7 @@ impl<'a> Planner<'a> {
     /// the right-hand side, which only the forward solve can exploit), so the op list
     /// is fixed and independent of the parameter set.
     fn sparse_assembly_ops(&self, generation: CudaGeneration, s: &SubdomainShape) -> Vec<GpuCost> {
-        let fnnz = s.fnnz_cholmod;
+        let fnnz = s.fnnz;
         vec![
             cost::transfer(&self.gpu, fnnz * 12),
             cost::transfer(&self.gpu, s.b_bytes),
@@ -672,7 +586,7 @@ impl<'a> Planner<'a> {
         }
         let mut persistent = 0usize;
         for s in &self.shapes {
-            let factor_bytes = s.fnnz_cholmod * 16;
+            let factor_bytes = s.fnnz * 16;
             persistent += match approach {
                 DualOperatorApproach::ImplicitGpuLegacy
                 | DualOperatorApproach::ImplicitGpuModern => factor_bytes + s.b_bytes + s.n * 16,
@@ -696,10 +610,10 @@ impl<'a> Planner<'a> {
 
 /// A key identifying the symbolic structure of a solve configuration: two jobs with
 /// equal keys share the decomposition shape, every subdomain's sparsity structure,
-/// the dual-operator approach, its parameters and the host factorization kind — so
-/// symbolic analysis, numeric factors and assembled explicit operators computed for
-/// one are bit-for-bit valid for the other (only the numeric values of loads differ
-/// between such jobs, and those enter PCPG, not preprocessing).
+/// the dual-operator approach and its parameters — so symbolic analysis, numeric
+/// factors and assembled explicit operators computed for one are bit-for-bit valid
+/// for the other (only the numeric values of loads differ between such jobs, and
+/// those enter PCPG, not preprocessing).
 ///
 /// This is what a solve service uses to cache warm solvers across a stream of
 /// repeated-geometry jobs.
@@ -716,8 +630,6 @@ pub struct PlanCacheKey {
     approach: DualOperatorApproach,
     /// The explicit-assembly parameters (identity for CPU-only approaches).
     params: ExplicitAssemblyParams,
-    /// The host numeric factorization kind.
-    factorization: FactorizationKind,
 }
 
 impl PlanCacheKey {
@@ -732,7 +644,6 @@ impl PlanCacheKey {
         problem: &DecomposedProblem,
         approach: DualOperatorApproach,
         params: ExplicitAssemblyParams,
-        factorization: FactorizationKind,
     ) -> Self {
         Self {
             structure: Self::structure_fingerprint(problem),
@@ -740,7 +651,6 @@ impl PlanCacheKey {
             num_lambdas: problem.num_lambdas,
             approach,
             params,
-            factorization,
         }
     }
 
@@ -769,12 +679,6 @@ impl PlanCacheKey {
     #[must_use]
     pub fn approach(&self) -> DualOperatorApproach {
         self.approach
-    }
-
-    /// The factorization kind this key was resolved to.
-    #[must_use]
-    pub fn factorization(&self) -> FactorizationKind {
-        self.factorization
     }
 }
 
@@ -921,55 +825,6 @@ mod tests {
             let ratio =
                 auto.best().total_seconds(iterations) / full.best().total_seconds(iterations);
             assert!(ratio <= 2.0, "iterations {iterations}: auto/full ratio {ratio}");
-        }
-    }
-
-    #[test]
-    fn supernodal_candidates_are_priced_for_cholmod_backed_approaches() {
-        let problem = DecomposedProblem::build(&DecompositionSpec::small_heat_2d());
-        let planner = planner_for(&problem);
-        let plan = planner.plan_auto(100);
-        for c in &plan.candidates {
-            if c.factorization == FactorizationKind::Supernodal {
-                assert!(
-                    !matches!(
-                        c.approach,
-                        DualOperatorApproach::ImplicitMkl
-                            | DualOperatorApproach::ExplicitMkl
-                            | DualOperatorApproach::ExplicitHybrid
-                    ),
-                    "MKL-backed approaches factorize simplicially only, got {:?}",
-                    c.approach
-                );
-            }
-        }
-        // Every cholmod-backed approach is priced under both kinds, and the
-        // supernodal estimate is never more expensive: same flops and same modelled
-        // GPU work, strictly less host index traffic, same apply cost.
-        for approach in [
-            DualOperatorApproach::ImplicitCholmod,
-            DualOperatorApproach::ExplicitCholmod,
-            DualOperatorApproach::ExplicitGpuModern,
-        ] {
-            let params = ExplicitAssemblyParams::auto_configure(
-                approach.generation().unwrap_or(CudaGeneration::Legacy),
-                problem.spec.dim,
-                problem.spec.dofs_per_subdomain(),
-            );
-            let simp = planner.estimate(approach, params);
-            let sup = planner.estimate_with_factorization(
-                approach,
-                params,
-                FactorizationKind::Supernodal,
-            );
-            assert_eq!(sup.factorization, FactorizationKind::Supernodal);
-            assert!(
-                sup.preprocessing.total_seconds <= simp.preprocessing.total_seconds,
-                "{approach:?}: supernodal {} vs simplicial {}",
-                sup.preprocessing.total_seconds,
-                simp.preprocessing.total_seconds
-            );
-            assert_eq!(sup.apply.total_seconds, simp.apply.total_seconds, "{approach:?}");
         }
     }
 

@@ -309,29 +309,12 @@ pub fn scatter_gather(spec: &GpuSpec, n: usize) -> GpuCost {
 /// Work of one *host* simplicial (column-at-a-time) Cholesky factorization, as
 /// `(bytes, flops)` for a host roofline: every stored factor entry is read and
 /// written through index arrays (~16 bytes effective traffic per entry), and the
-/// supernodal flop estimate `Σ_j nnz(L_{:,j})² ≈ nnz(L)²/n` assumes uniform column
-/// fill.
+/// flop estimate `Σ_j nnz(L_{:,j})² ≈ nnz(L)²/n` assumes uniform column fill.
 #[must_use]
 pub fn host_factor_work_simplicial(nnz_factor: usize, n: usize) -> (f64, f64) {
     let fnnz = nnz_factor as f64;
     let flops = 2.0 * fnnz * fnnz / n.max(1) as f64;
     (fnnz * 16.0, flops)
-}
-
-/// Work of one *host* supernodal (panel) Cholesky factorization, as `(bytes, flops)`.
-///
-/// The flop count is identical to the simplicial kernel (same factor, same
-/// eliminations — it is bit-for-bit the same arithmetic), but the memory traffic
-/// shrinks with supernode width: inside a panel the column lists collapse into one
-/// shared row index list and dense strided columns, so the per-entry index overhead
-/// is paid once per supernode column instead of once per entry.  With `nsuper == n`
-/// (every column its own supernode) this degenerates to the simplicial traffic.
-#[must_use]
-pub fn host_factor_work_supernodal(nnz_factor: usize, n: usize, nsuper: usize) -> (f64, f64) {
-    let fnnz = nnz_factor as f64;
-    let flops = 2.0 * fnnz * fnnz / n.max(1) as f64;
-    let bytes = fnnz * 8.0 * (1.0 + nsuper as f64 / n.max(1) as f64);
-    (bytes, flops)
 }
 
 #[cfg(test)]
@@ -414,18 +397,6 @@ mod tests {
         let one = transfer(&s, 1_000_000);
         let ten = transfer(&s, 10_000_000);
         assert!(ten.seconds > 5.0 * (one.seconds - s.pcie_latency_seconds));
-    }
-
-    #[test]
-    fn supernodal_host_factor_work_never_exceeds_simplicial() {
-        let (fnnz, n) = (50_000usize, 2_000usize);
-        let (b_simp, f_simp) = host_factor_work_simplicial(fnnz, n);
-        // Wide supernodes cut traffic; one-column supernodes degenerate exactly.
-        let (b_wide, f_wide) = host_factor_work_supernodal(fnnz, n, n / 8);
-        assert_eq!(f_wide, f_simp, "factorization kinds run the same arithmetic");
-        assert!(b_wide < b_simp);
-        let (b_degenerate, _) = host_factor_work_supernodal(fnnz, n, n);
-        assert_eq!(b_degenerate, b_simp);
     }
 
     #[test]

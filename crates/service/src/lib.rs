@@ -12,9 +12,9 @@
 //! - **tenant fairness**: the queue is drained round-robin across tenants, so one
 //!   tenant's burst cannot starve the others,
 //! - a **plan + factor cache** keyed by [`PlanCacheKey`] — the symbolic structure of
-//!   the decomposition plus the resolved approach, parameters and factorization
-//!   kind.  A cache hit checks out a *warm* solver (factors, coarse problem and
-//!   assembled dual operator intact) and skips preprocessing entirely,
+//!   the decomposition plus the resolved approach and parameters.  A cache hit
+//!   checks out a *warm* solver (factors, coarse problem and assembled dual
+//!   operator intact) and skips preprocessing entirely,
 //! - **admission control**: each job's persistent device footprint is estimated by
 //!   the [`Planner`] *before* anything is constructed, reserved FIFO-fairly against
 //!   a [`DeviceBudget`], and jobs that could never fit are rejected with a typed
@@ -30,7 +30,6 @@ use feti_core::{
 };
 use feti_decompose::DecomposedProblem;
 use feti_gpu::{BudgetError, DeviceBudget, GpuSpec};
-use feti_solver::FactorizationKind;
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -88,8 +87,6 @@ pub struct JobSpec {
     pub approach: Option<DualOperatorApproach>,
     /// Explicit-assembly parameters; `None` uses the planned/auto-configured ones.
     pub params: Option<ExplicitAssemblyParams>,
-    /// Host factorization kind; `None` uses the planned/default one.
-    pub factorization: Option<FactorizationKind>,
     /// Load cases to solve; empty means the problem's assembled baseline loads.
     pub loads: Vec<LoadCase>,
     /// PCPG options.
@@ -109,7 +106,6 @@ impl JobSpec {
             problem,
             approach: None,
             params: None,
-            factorization: None,
             loads: Vec::new(),
             options: PcpgOptions::default(),
             expected_iterations: 0,
@@ -269,7 +265,6 @@ struct QueuedJob {
     key: PlanCacheKey,
     approach: DualOperatorApproach,
     params: ExplicitAssemblyParams,
-    factorization: FactorizationKind,
     persistent_bytes: usize,
     /// Trace timestamp of the moment the job entered the queue; the worker that
     /// pops it closes a `queue_wait` span from here.
@@ -440,7 +435,6 @@ struct PlanRequest {
     structure: u64,
     approach: Option<DualOperatorApproach>,
     params: Option<ExplicitAssemblyParams>,
-    factorization: Option<FactorizationKind>,
     expected_iterations: usize,
 }
 
@@ -448,7 +442,6 @@ struct PlanRequest {
 struct ResolvedPlan {
     approach: DualOperatorApproach,
     params: ExplicitAssemblyParams,
-    factorization: FactorizationKind,
     persistent_bytes: usize,
 }
 
@@ -525,19 +518,13 @@ impl FetiService {
                 budget: self.shared.budget.capacity_bytes(),
             }));
         }
-        let key = PlanCacheKey::new(
-            &spec.problem,
-            resolved.approach,
-            resolved.params,
-            resolved.factorization,
-        );
+        let key = PlanCacheKey::new(&spec.problem, resolved.approach, resolved.params);
         let (tx, rx) = mpsc::channel();
         let job = QueuedJob {
             spec,
             key,
             approach: resolved.approach,
             params: resolved.params,
-            factorization: resolved.factorization,
             persistent_bytes: resolved.persistent_bytes,
             enqueued_us: feti_trace::now_us(),
             reply: tx,
@@ -559,7 +546,7 @@ impl FetiService {
         Ok(JobTicket { rx })
     }
 
-    /// Resolves a job's approach, parameters, factorization and modelled footprint —
+    /// Resolves a job's approach, parameters and modelled footprint —
     /// through the plan cache when this geometry and request were seen before.
     fn resolve(&self, spec: &JobSpec) -> ResolvedPlan {
         let expected = if spec.expected_iterations == 0 {
@@ -571,7 +558,6 @@ impl FetiService {
             structure: PlanCacheKey::structure_fingerprint(&spec.problem),
             approach: spec.approach,
             params: spec.params,
-            factorization: spec.factorization,
             expected_iterations: expected,
         };
         if let Some(hit) = lock(&self.shared.plans).get(&request) {
@@ -582,20 +568,17 @@ impl FetiService {
             None => {
                 let plan: Plan = planner.plan_auto(expected);
                 let best = plan.best();
-                let params = spec.params.unwrap_or(best.params);
-                let factorization = spec.factorization.unwrap_or(best.factorization);
-                // A job-level params/factorization override changes what gets built,
-                // so the admission footprint is re-estimated for the overridden
+                // A job-level params override changes what gets built, so the
+                // admission footprint is re-estimated for the overridden
                 // configuration instead of reusing the candidate planned with
                 // `best.params`.
-                let persistent_bytes = if spec.params.is_some() || spec.factorization.is_some() {
-                    planner
-                        .estimate_with_factorization(best.approach, params, factorization)
-                        .persistent_device_bytes
-                } else {
-                    best.persistent_device_bytes
+                let (params, persistent_bytes) = match spec.params {
+                    Some(params) => {
+                        (params, planner.estimate(best.approach, params).persistent_device_bytes)
+                    }
+                    None => (best.params, best.persistent_device_bytes),
                 };
-                ResolvedPlan { approach: best.approach, params, factorization, persistent_bytes }
+                ResolvedPlan { approach: best.approach, params, persistent_bytes }
             }
             Some(approach) => {
                 let params = spec.params.unwrap_or_else(|| {
@@ -605,13 +588,10 @@ impl FetiService {
                         spec.problem.spec.dofs_per_subdomain(),
                     )
                 });
-                let factorization = spec.factorization.unwrap_or_default();
-                let candidate =
-                    planner.estimate_with_factorization(approach, params, factorization);
+                let candidate = planner.estimate(approach, params);
                 ResolvedPlan {
                     approach,
                     params,
-                    factorization,
                     persistent_bytes: candidate.persistent_device_bytes,
                 }
             }
@@ -739,21 +719,17 @@ fn run_job(shared: &Arc<ServiceShared>, job: QueuedJob) -> Result<JobReport, Ser
     let prep_start = Instant::now();
     let (mut solver, cache) = match lock(&shared.cache).claim(&job.key) {
         Some(mut warm) => {
-            // The cache key covers symbolic structure, approach, parameters and
-            // factorization — not PCPG options.  Retarget the warm solver to this
-            // job's tolerance / iteration cap / preconditioner choice before solving.
+            // The cache key covers symbolic structure, approach and parameters —
+            // not PCPG options.  Retarget the warm solver to this job's tolerance /
+            // iteration cap / preconditioner choice before solving.
             warm.set_options(job.spec.options);
             (warm, CacheOutcome::Hit)
         }
         None => {
-            let solver = TotalFetiSolver::new_with_solver_options(
+            let solver = TotalFetiSolver::new(
                 Arc::clone(&job.spec.problem),
                 job.approach,
                 Some(job.params),
-                feti_solver::SolverOptions {
-                    factorization: job.factorization,
-                    ..feti_solver::SolverOptions::default()
-                },
                 job.spec.options,
             )?;
             (solver, CacheOutcome::Miss)
@@ -829,7 +805,6 @@ mod tests {
             &p,
             DualOperatorApproach::ImplicitCholmod,
             ExplicitAssemblyParams::default(),
-            FactorizationKind::Simplicial,
         );
         for (tenant, n) in [("a", 3), ("b", 1), ("c", 2)] {
             for _ in 0..n {
@@ -838,7 +813,6 @@ mod tests {
                     key,
                     approach: DualOperatorApproach::ImplicitCholmod,
                     params: ExplicitAssemblyParams::default(),
-                    factorization: FactorizationKind::Simplicial,
                     persistent_bytes: 0,
                     enqueued_us: 0.0,
                     reply: tx.clone(),
@@ -855,14 +829,7 @@ mod tests {
         let mk = |approach| {
             TotalFetiSolver::new(Arc::clone(&p), approach, None, PcpgOptions::default()).unwrap()
         };
-        let key = |approach| {
-            PlanCacheKey::new(
-                &p,
-                approach,
-                ExplicitAssemblyParams::default(),
-                FactorizationKind::Simplicial,
-            )
-        };
+        let key = |approach| PlanCacheKey::new(&p, approach, ExplicitAssemblyParams::default());
         let mut cache = SolverCache::new(2);
         let (ka, kb, kc) = (
             key(DualOperatorApproach::ImplicitCholmod),
@@ -888,13 +855,11 @@ mod tests {
             structure,
             approach: None,
             params: None,
-            factorization: None,
             expected_iterations: 10,
         };
         let plan = ResolvedPlan {
             approach: DualOperatorApproach::ImplicitCholmod,
             params: ExplicitAssemblyParams::default(),
-            factorization: FactorizationKind::Simplicial,
             persistent_bytes: 0,
         };
         cache.insert(req(1), plan);
@@ -1009,7 +974,6 @@ mod tests {
             &p,
             DualOperatorApproach::ImplicitCholmod,
             ExplicitAssemblyParams::default(),
-            FactorizationKind::Simplicial,
         );
         {
             // Hold the queue lock while pushing so the worker cannot drain
@@ -1021,7 +985,6 @@ mod tests {
                     key,
                     approach: DualOperatorApproach::ImplicitCholmod,
                     params: ExplicitAssemblyParams::default(),
-                    factorization: FactorizationKind::Simplicial,
                     persistent_bytes: 0,
                     enqueued_us: 0.0,
                     reply: tx.clone(),

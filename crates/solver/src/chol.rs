@@ -17,9 +17,6 @@ pub struct SymbolicCholesky {
     perm: Permutation,
     parent: Vec<usize>,
     col_ptr: Vec<usize>,
-    /// First column of each supernode plus a final terminator `n` (see
-    /// [`etree::fundamental_supernodes`]).
-    sn_start: Vec<usize>,
     n: usize,
 }
 
@@ -36,12 +33,11 @@ impl SymbolicCholesky {
         let permuted = perm.permute_symmetric(a);
         let parent = etree::elimination_tree(&permuted);
         let counts = etree::column_counts(&permuted, &parent);
-        let sn_start = etree::fundamental_supernodes(&parent, &counts);
         let mut col_ptr = vec![0usize; n + 1];
         for (k, &c) in counts.iter().enumerate() {
             col_ptr[k + 1] = col_ptr[k] + c;
         }
-        Self { perm, parent, col_ptr, sn_start, n }
+        Self { perm, parent, col_ptr, n }
     }
 
     /// Matrix dimension.
@@ -66,25 +62,6 @@ impl SymbolicCholesky {
     #[must_use]
     pub fn parents(&self) -> &[usize] {
         &self.parent
-    }
-
-    /// Supernode boundaries: the first column of each supernode plus a final
-    /// terminator `n`, so supernode `s` spans columns
-    /// `supernodes()[s]..supernodes()[s + 1]` of the permuted factor.
-    #[must_use]
-    pub fn supernodes(&self) -> &[usize] {
-        &self.sn_start
-    }
-
-    /// Number of supernodes (column panels with identical structure) of the factor.
-    #[must_use]
-    pub fn num_supernodes(&self) -> usize {
-        self.sn_start.len() - 1
-    }
-
-    /// Column pointers of the future factor (length `n + 1`).
-    pub(crate) fn col_ptr(&self) -> &[usize] {
-        &self.col_ptr
     }
 }
 

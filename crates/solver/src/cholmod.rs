@@ -3,17 +3,11 @@
 //! In the paper, CHOLMOD is the only CPU solver that can hand its factors (and the
 //! fill-reducing permutation) to the GPU, which makes it the entry point of every
 //! GPU-accelerated dual-operator approach.  This facade exposes exactly that: the
-//! symbolic/numeric split of §III plus [`CholmodFactor::extract_factor`].
-//!
-//! The numeric kernel is selectable via [`SolverOptions::factorization`]: the
-//! simplicial column-at-a-time kernel ([`CholeskyFactor`]) or the supernodal panel
-//! kernel ([`SupernodalFactor`]).  Both produce bit-for-bit identical factors and
-//! solves, so everything downstream (including the extracted CSC factor the GPU
-//! paths consume) is unaffected by the choice — only the wall time changes.
+//! symbolic/numeric split of §III plus [`CholmodFactor::extract_factor`], over the
+//! shared simplicial kernel ([`CholeskyFactor`]).
 
 use crate::chol::{CholeskyFactor, SymbolicCholesky};
-use crate::supernodal::SupernodalFactor;
-use crate::{FactorizationKind, Result, SolverOptions};
+use crate::{Result, SolverOptions};
 use feti_sparse::{CscMatrix, CsrMatrix, DenseMatrix, Permutation};
 
 /// Symbolic handle of the CHOLMOD-like solver (one per subdomain, created in the
@@ -27,14 +21,7 @@ pub struct CholmodLike {
 /// Numeric factorization produced by [`CholmodLike::factorize`].
 #[derive(Debug, Clone)]
 pub struct CholmodFactor {
-    inner: FactorInner,
-}
-
-/// The numeric kernel actually used, per [`SolverOptions::factorization`].
-#[derive(Debug, Clone)]
-enum FactorInner {
-    Simplicial(CholeskyFactor),
-    Supernodal(SupernodalFactor),
+    factor: CholeskyFactor,
 }
 
 impl CholmodLike {
@@ -62,29 +49,12 @@ impl CholmodLike {
         self.symbolic.permutation()
     }
 
-    /// Number of supernodes the supernodal kernel would use (dense panels of columns
-    /// with identical structure); feeds the planner's cost model.
-    #[must_use]
-    pub fn num_supernodes(&self) -> usize {
-        self.symbolic.num_supernodes()
-    }
-
-    /// Numeric factorization of a matrix with the analysed pattern, using the kernel
-    /// selected by [`SolverOptions::factorization`].
+    /// Numeric factorization of a matrix with the analysed pattern.
     ///
     /// # Errors
     /// Propagates [`crate::SolverError`] from the numeric kernel.
     pub fn factorize(&self, a: &CsrMatrix) -> Result<CholmodFactor> {
-        let inner =
-            match self.options.factorization {
-                FactorizationKind::Simplicial => FactorInner::Simplicial(
-                    CholeskyFactor::factorize(&self.symbolic, a, &self.options)?,
-                ),
-                FactorizationKind::Supernodal => FactorInner::Supernodal(
-                    SupernodalFactor::factorize(&self.symbolic, a, &self.options)?,
-                ),
-            };
-        Ok(CholmodFactor { inner })
+        Ok(CholmodFactor { factor: CholeskyFactor::factorize(&self.symbolic, a, &self.options)? })
     }
 }
 
@@ -92,58 +62,41 @@ impl CholmodFactor {
     /// Matrix dimension.
     #[must_use]
     pub fn dim(&self) -> usize {
-        match &self.inner {
-            FactorInner::Simplicial(f) => f.dim(),
-            FactorInner::Supernodal(f) => f.dim(),
-        }
+        self.factor.dim()
     }
 
     /// Number of nonzeros of `L`.
     #[must_use]
     pub fn nnz(&self) -> usize {
-        match &self.inner {
-            FactorInner::Simplicial(f) => f.nnz(),
-            FactorInner::Supernodal(f) => f.nnz(),
-        }
+        self.factor.nnz()
     }
 
     /// Solves `A x = b` in the original ordering.
     #[must_use]
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        match &self.inner {
-            FactorInner::Simplicial(f) => f.solve(b),
-            FactorInner::Supernodal(f) => f.solve(b),
-        }
+        self.factor.solve(b)
     }
 
     /// Solves `A X = B` for a dense right-hand-side matrix.
     #[must_use]
     pub fn solve_matrix(&self, b: &DenseMatrix) -> DenseMatrix {
-        match &self.inner {
-            FactorInner::Simplicial(f) => f.solve_matrix(b),
-            FactorInner::Supernodal(f) => f.solve_matrix(b),
-        }
+        self.factor.solve_matrix(b)
     }
 
     /// Extracts the Cholesky factor `L` (CSC, lower triangular) and the fill-reducing
     /// permutation such that `P A Pᵀ = L Lᵀ`.
     ///
     /// This mirrors CHOLMOD's ability to expose its factor, which the paper relies on
-    /// to feed the GPU assembly; the PARDISO-like facade deliberately lacks it.  The
-    /// extracted CSC matrix is bitwise identical for both factorization kinds.
+    /// to feed the GPU assembly; the PARDISO-like facade deliberately lacks it.
     #[must_use]
     pub fn extract_factor(&self) -> (CscMatrix, Permutation) {
-        match &self.inner {
-            FactorInner::Simplicial(f) => (f.factor_csc(), f.permutation().clone()),
-            FactorInner::Supernodal(f) => (f.factor_csc(), f.permutation().clone()),
-        }
+        (self.factor.factor_csc(), self.factor.permutation().clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FactorizationKind;
     use feti_sparse::CooMatrix;
 
     fn spd_matrix(n: usize) -> CsrMatrix {
@@ -189,35 +142,6 @@ mod tests {
             .to_dense(feti_sparse::MemoryOrder::RowMajor)
             .max_abs_diff(&pap.to_dense(feti_sparse::MemoryOrder::RowMajor));
         assert!(diff < 1e-10);
-    }
-
-    #[test]
-    fn supernodal_facade_extracts_a_bitwise_identical_factor() {
-        let a = spd_matrix(40);
-        let simp = CholmodLike::analyze(
-            &a,
-            SolverOptions {
-                factorization: FactorizationKind::Simplicial,
-                ..SolverOptions::default()
-            },
-        );
-        let sup = CholmodLike::analyze(
-            &a,
-            SolverOptions {
-                factorization: FactorizationKind::Supernodal,
-                ..SolverOptions::default()
-            },
-        );
-        assert!(sup.num_supernodes() >= 1);
-        assert!(sup.num_supernodes() <= sup.dim());
-        let (l1, p1) = simp.factorize(&a).unwrap().extract_factor();
-        let (l2, p2) = sup.factorize(&a).unwrap().extract_factor();
-        assert_eq!(p1.new_to_old(), p2.new_to_old());
-        assert_eq!(l1.col_ptr(), l2.col_ptr());
-        assert_eq!(l1.row_idx(), l2.row_idx());
-        let bits1: Vec<u64> = l1.values().iter().map(|v| v.to_bits()).collect();
-        let bits2: Vec<u64> = l2.values().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits1, bits2);
     }
 
     #[test]

@@ -106,34 +106,6 @@ pub fn column_counts(a: &CsrMatrix, parent: &[usize]) -> Vec<usize> {
     counts
 }
 
-/// Detects supernodes: maximal ranges of consecutive columns with identical factor
-/// structure, suitable for dense-panel (BLAS-3) factorization.
-///
-/// Columns `j` and `j + 1` merge when `parent[j] == j + 1` and
-/// `counts[j] == counts[j + 1] + 1`: the elimination-tree subset property
-/// (`pattern(j) \ {j} ⊆ pattern(parent(j))`) then forces
-/// `pattern(j) \ {j} == pattern(j + 1)` exactly, so the merged columns share one
-/// dense trapezoidal panel.  Returns the first column of each supernode plus a final
-/// terminator `n` (so supernode `s` spans `starts[s]..starts[s + 1]`).
-#[must_use]
-pub fn fundamental_supernodes(parent: &[usize], counts: &[usize]) -> Vec<usize> {
-    let n = parent.len();
-    assert_eq!(counts.len(), n, "counts length must match parent length");
-    if n == 0 {
-        return vec![0];
-    }
-    let mut starts = Vec::with_capacity(n / 2 + 2);
-    starts.push(0);
-    for j in 1..n {
-        let merge = parent[j - 1] == j && counts[j - 1] == counts[j] + 1;
-        if !merge {
-            starts.push(j);
-        }
-    }
-    starts.push(n);
-    starts
-}
-
 /// Returns a post-ordering of the elimination forest (children before parents).
 #[must_use]
 pub fn postorder(parent: &[usize]) -> Vec<usize> {
@@ -257,36 +229,6 @@ mod tests {
                 assert!(pos[v] < pos[parent[v]], "child {v} must precede its parent");
             }
         }
-    }
-
-    #[test]
-    fn supernodes_of_dense_matrix_merge_into_one_panel() {
-        let n = 5;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                coo.push(i, j, if i == j { 10.0 } else { -1.0 });
-            }
-        }
-        let a = coo.to_csr();
-        let parent = elimination_tree(&a);
-        let counts = column_counts(&a, &parent);
-        assert_eq!(fundamental_supernodes(&parent, &counts), vec![0, n]);
-    }
-
-    #[test]
-    fn supernodes_of_tridiagonal_merge_only_the_tail_pair() {
-        // L of a tridiagonal matrix is bidiagonal: only the last two columns share
-        // their structure (both reach no row beyond the next).
-        let a = tridiag(6);
-        let parent = elimination_tree(&a);
-        let counts = column_counts(&a, &parent);
-        assert_eq!(fundamental_supernodes(&parent, &counts), vec![0, 1, 2, 3, 4, 6]);
-    }
-
-    #[test]
-    fn supernodes_empty_matrix() {
-        assert_eq!(fundamental_supernodes(&[], &[]), vec![0]);
     }
 
     #[test]

@@ -17,52 +17,20 @@
 
 #![warn(missing_docs)]
 // As in `feti-sparse`: the factorization inner loops keep explicit index arithmetic
-// (elimination-tree walks, supernode panels), where clippy's iterator rewrite would
-// obscure the indexing the comments reference.
+// (elimination-tree walks), where clippy's iterator rewrite would obscure the
+// indexing the comments reference.
 #![allow(clippy::needless_range_loop)]
 
 pub mod chol;
 pub mod cholmod;
 pub mod etree;
 pub mod pardiso;
-pub mod supernodal;
 
 pub use chol::{CholeskyFactor, SymbolicCholesky};
 pub use cholmod::{CholmodFactor, CholmodLike};
 pub use pardiso::PardisoLike;
-pub use supernodal::SupernodalFactor;
 
 use feti_order::OrderingKind;
-use std::sync::OnceLock;
-
-/// Numeric factorization algorithm of the CHOLMOD-like facade.
-///
-/// Both kinds produce **bit-for-bit identical** factors and solves (same elimination
-/// tree, same pivot order, same floating-point operation order per output); they
-/// differ only in data layout and speed.  The supernodal path merges columns with
-/// identical structure into dense panels (see [`supernodal`]) and is priced
-/// separately by the planner's cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FactorizationKind {
-    /// Column-at-a-time up-looking factorization ([`CholeskyFactor`]).
-    #[default]
-    Simplicial,
-    /// Supernodal panel factorization ([`SupernodalFactor`]).
-    Supernodal,
-}
-
-impl FactorizationKind {
-    /// The process-wide default kind: the `FETI_FACTORIZATION` environment variable
-    /// (`"simplicial"` or `"supernodal"`, read once) or [`Self::Simplicial`].
-    #[must_use]
-    pub fn default_kind() -> Self {
-        static KIND: OnceLock<FactorizationKind> = OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var("FETI_FACTORIZATION").as_deref() {
-            Ok("supernodal") => FactorizationKind::Supernodal,
-            _ => FactorizationKind::Simplicial,
-        })
-    }
-}
 
 /// Options shared by both solver facades.
 #[derive(Debug, Clone, Copy)]
@@ -72,19 +40,11 @@ pub struct SolverOptions {
     /// Pivot tolerance: a pivot `<= tolerance` aborts the factorization as
     /// not positive definite.
     pub pivot_tolerance: f64,
-    /// Numeric factorization kind used by the CHOLMOD-like facade (the PARDISO-like
-    /// facade always factorizes simplicially, as it needs sparse-right-hand-side
-    /// solves over the scalar factor).
-    pub factorization: FactorizationKind,
 }
 
 impl Default for SolverOptions {
     fn default() -> Self {
-        Self {
-            ordering: OrderingKind::NestedDissection,
-            pivot_tolerance: 0.0,
-            factorization: FactorizationKind::default_kind(),
-        }
+        Self { ordering: OrderingKind::NestedDissection, pivot_tolerance: 0.0 }
     }
 }
 

@@ -6,8 +6,7 @@
 //! right-hand-side column's elimination-tree reach, and contracts `F = Xᵀ X` only over
 //! those reaches.  The contract is bit-for-bit identity with the reference for
 //! **every** input: on real subdomain factors (3D quadratic heat transfer, 2D and 3D
-//! linear elasticity, every fill-reducing ordering and both factorization kinds) and
-//! on random sparse SPD matrices the restricted path must run and match; on the
+//! linear elasticity, every fill-reducing ordering) and on random sparse SPD matrices the restricted path must run and match; on the
 //! inputs where skipping would not be exact — `-0.0` in the right-hand side, NaN/±Inf
 //! in the factor or the right-hand side, a solve that overflows, a non-positive
 //! diagonal, a structure not closed under its elimination tree — the kernel must fall
@@ -17,7 +16,7 @@ use feti_decompose::{DecomposedProblem, DecompositionSpec};
 use feti_mesh::{Dim, ElementOrder, Physics};
 use feti_order::OrderingKind;
 use feti_solver::cholmod::CholmodLike;
-use feti_solver::{FactorizationKind, SolverOptions};
+use feti_solver::SolverOptions;
 use feti_sparse::reach::{self, ReachSolution};
 use feti_sparse::{
     blas, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, DiagKind, MemoryOrder, Permutation,
@@ -108,18 +107,15 @@ fn factor(a: &CsrMatrix, opts: SolverOptions) -> (CscMatrix, Permutation) {
 }
 
 fn all_options() -> Vec<SolverOptions> {
-    let mut out = Vec::new();
-    for ordering in [
+    [
         OrderingKind::Natural,
         OrderingKind::ReverseCuthillMcKee,
         OrderingKind::MinimumDegree,
         OrderingKind::NestedDissection,
-    ] {
-        for factorization in [FactorizationKind::Simplicial, FactorizationKind::Supernodal] {
-            out.push(SolverOptions { ordering, factorization, ..SolverOptions::default() });
-        }
-    }
-    out
+    ]
+    .into_iter()
+    .map(|ordering| SolverOptions { ordering, ..SolverOptions::default() })
+    .collect()
 }
 
 fn spec(dim: Dim, physics: Physics, order: ElementOrder, elems: usize) -> DecompositionSpec {
@@ -134,8 +130,7 @@ fn spec(dim: Dim, physics: Physics, order: ElementOrder, elems: usize) -> Decomp
 }
 
 /// Real subdomain factors and gluing matrices: every subdomain of a 3D quadratic
-/// heat problem and of 2D and 3D linear-elasticity problems, under every ordering
-/// and factorization kind.
+/// heat problem and of 2D and 3D linear-elasticity problems, under every ordering.
 #[test]
 fn real_subdomain_factors_match_reference() {
     let problems = [
@@ -149,7 +144,7 @@ fn real_subdomain_factors_match_reference() {
             for opts in all_options() {
                 let (l, perm) = factor(&sd.k_reg, opts);
                 let bp = perm.permute_cols(&sd.gluing);
-                let context = format!("{name} sd {i} {:?}/{:?}", opts.ordering, opts.factorization);
+                let context = format!("{name} sd {i} {:?}", opts.ordering);
                 check_restricted(&l, &bp, &context);
             }
         }
@@ -223,7 +218,7 @@ fn random_sparse_spd_factors_match_reference() {
             let (l, _) = factor(&a, opts);
             for m in [0, 1, 2, 3, 4, 5, 6, 7, 9, 13] {
                 let rhs_t = random_rhs_t(m, n, 1 + m % 4, &mut rng);
-                let context = format!("n={n} m={m} {:?}/{:?}", opts.ordering, opts.factorization);
+                let context = format!("n={n} m={m} {:?}", opts.ordering);
                 check_restricted(&l, &rhs_t, &context);
             }
         }

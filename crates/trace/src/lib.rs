@@ -357,8 +357,6 @@ pub struct PlanCandidateRecord {
     pub rank: usize,
     /// Dual-operator approach label (e.g. `expl modern`).
     pub approach: String,
-    /// Factorization kind the estimate assumed.
-    pub factorization: String,
     /// Compact rendering of the explicit-assembly parameters.
     pub params: String,
     /// Whether the planner judged the candidate to fit device memory.
@@ -574,7 +572,6 @@ mod tests {
         let candidate = PlanCandidateRecord {
             rank: 0,
             approach: "expl modern".into(),
-            factorization: "simplicial".into(),
             params: "syrk".into(),
             fits_device_memory: true,
             predicted_preprocessing_s: 0.5,

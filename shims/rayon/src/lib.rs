@@ -38,10 +38,7 @@
 //! * a panicking task poisons nothing: each chunk runs under `catch_unwind`, the
 //!   first payload is re-raised on the submitting thread once the region has
 //!   quiesced, remaining chunks are discarded, and the pool's parked workers stay
-//!   usable for the next region;
-//! * [`ThreadPoolBuilder::spawn_per_region`] retains the previous scoped
-//!   spawn-per-region driver as a benchmarking baseline, so `perf_trajectory` can
-//!   measure the persistent pool's region-entry latency against it in one process.
+//!   usable for the next region.
 //!
 //! `DESIGN.md` (§ "Host parallelism") records this substitution; swapping the real
 //! rayon back in requires only deleting this shim from the workspace.
@@ -115,7 +112,6 @@ fn default_inline_cutoff() -> usize {
 struct Cfg {
     threads: usize,
     core: Arc<PoolCore>,
-    spawn_per_region: bool,
     inline_cutoff: usize,
 }
 
@@ -157,8 +153,6 @@ pub enum RegionDispatch {
     Inline,
     /// The region ran on the persistent parked worker pool.
     Persistent,
-    /// The region ran on the scoped spawn-per-region baseline driver.
-    Spawned,
 }
 
 /// Observability hook invoked once per parallel region, on the submitting thread,
@@ -220,7 +214,6 @@ impl std::error::Error for ThreadPoolBuildError {}
 pub struct ThreadPoolBuilder {
     num_threads: usize,
     inline_cutoff: Option<usize>,
-    spawn_per_region: bool,
 }
 
 impl ThreadPoolBuilder {
@@ -248,17 +241,6 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Uses the legacy scoped spawn-per-region driver instead of the persistent
-    /// parked pool.  Shim extension kept solely as a benchmarking baseline (like
-    /// `blas::reference`): `perf_trajectory` measures region-entry latency of the
-    /// persistent pool against this mode in the same process.  Results are
-    /// bit-for-bit identical between the two drivers.
-    #[must_use]
-    pub fn spawn_per_region(mut self, enabled: bool) -> Self {
-        self.spawn_per_region = enabled;
-        self
-    }
-
     /// Builds the pool.  Workers are spawned lazily on the pool's first parallel
     /// region, so building is cheap and a pool that only ever runs inline or
     /// single-threaded regions never starts a thread.
@@ -270,7 +252,6 @@ impl ThreadPoolBuilder {
         Ok(ThreadPool {
             num_threads: n,
             inline_cutoff: self.inline_cutoff,
-            spawn_per_region: self.spawn_per_region,
             core: Arc::new(PoolCore::new(n)),
         })
     }
@@ -285,7 +266,6 @@ impl ThreadPoolBuilder {
 pub struct ThreadPool {
     num_threads: usize,
     inline_cutoff: Option<usize>,
-    spawn_per_region: bool,
     core: Arc<PoolCore>,
 }
 
@@ -294,7 +274,6 @@ impl std::fmt::Debug for ThreadPool {
         f.debug_struct("ThreadPool")
             .field("num_threads", &self.num_threads)
             .field("inline_cutoff", &self.inline_cutoff)
-            .field("spawn_per_region", &self.spawn_per_region)
             .finish()
     }
 }
@@ -338,7 +317,6 @@ impl ThreadPool {
         Cfg {
             threads: self.num_threads,
             core: Arc::clone(&self.core),
-            spawn_per_region: self.spawn_per_region,
             inline_cutoff: self.inline_cutoff.unwrap_or_else(default_inline_cutoff),
         }
     }
@@ -677,65 +655,13 @@ fn run_region_persistent(
     }
 }
 
-/// The legacy scoped spawn-per-region driver, kept as the benchmarking baseline
-/// behind [`ThreadPoolBuilder::spawn_per_region`].  Semantics match the persistent
-/// driver bit for bit; only the thread lifecycle differs.
-fn run_region_spawn(
-    cfg: &Cfg,
-    n: usize,
-    workers: usize,
-    max_len: Option<usize>,
-    task: &(dyn Fn(usize) + Sync),
-) {
-    let (queues, _) = build_queues(n, workers, max_len);
-    let queues = &queues;
-    std::thread::scope(|s| {
-        for w in 1..workers {
-            let cfg = cfg.clone();
-            s.spawn(move || {
-                let previous = CFG.with(|c| c.replace(Some(cfg)));
-                spawn_worker_loop(w, queues, task);
-                CFG.with(|c| *c.borrow_mut() = previous);
-            });
-        }
-        spawn_worker_loop(0, queues, task);
-    });
-}
-
-/// One scoped worker of the spawn-per-region baseline: drain the own deque
-/// front-to-back, then steal whole chunks from the back of the other workers'
-/// deques until everything is empty.
-fn spawn_worker_loop(
-    w: usize,
-    queues: &[Mutex<VecDeque<Range<usize>>>],
-    task: &(dyn Fn(usize) + Sync),
-) {
-    let nq = queues.len();
-    loop {
-        let own = lock(&queues[w]).pop_front();
-        let chunk = match own {
-            Some(range) => Some(range),
-            None => (1..nq).find_map(|k| lock(&queues[(w + k) % nq]).pop_back()),
-        };
-        match chunk {
-            Some(range) => {
-                for i in range {
-                    task(i);
-                }
-            }
-            None => break,
-        }
-    }
-}
-
 /// Runs `task(i)` for every `i` in `0..n`.  Each index is executed exactly once; no
 /// ordering is guaranteed between indices (callers that need ordering must write
 /// into indexed slots).
 ///
 /// Dispatch: single-participant regions and fine-grained regions below the inline
 /// cutoff (unless marked coarse via `max_len`) run inline on the calling thread;
-/// everything else goes to the installed pool's persistent workers (or the scoped
-/// spawn-per-region baseline if the pool was built that way).
+/// everything else goes to the installed pool's persistent workers.
 fn run_region(n: usize, max_len: Option<usize>, task: impl Fn(usize) + Sync) {
     if n == 0 {
         return;
@@ -752,13 +678,8 @@ fn run_region(n: usize, max_len: Option<usize>, task: impl Fn(usize) + Sync) {
         return;
     }
     let cfg = installed.unwrap_or_else(|| global_pool().cfg());
-    if cfg.spawn_per_region {
-        notify_region_hook(n, RegionDispatch::Spawned);
-        run_region_spawn(&cfg, n, workers, max_len, &task);
-    } else {
-        notify_region_hook(n, RegionDispatch::Persistent);
-        run_region_persistent(&cfg, n, workers, max_len, &task);
-    }
+    notify_region_hook(n, RegionDispatch::Persistent);
+    run_region_persistent(&cfg, n, workers, max_len, &task);
 }
 
 /// Shared write-once output buffer for `collect`: slot `i` is written by whichever
@@ -1502,28 +1423,6 @@ mod tests {
             })
         };
         assert_eq!(run(&always_inline), run(&never_inline), "cutoff must not change any bit");
-    }
-
-    #[test]
-    fn spawn_per_region_baseline_matches_the_persistent_pool() {
-        let v: Vec<f64> = (0..10_000).map(|i| i as f64 * 0.3).collect();
-        let spawn = ThreadPoolBuilder::new()
-            .num_threads(4)
-            .inline_cutoff(0)
-            .spawn_per_region(true)
-            .build()
-            .unwrap();
-        let persistent = pool(4);
-        let run = |p: &ThreadPool| -> Vec<u64> {
-            p.install(|| {
-                v.par_iter().map(|&x| ((x * 2.1).cos() + x / 7.0).to_bits()).collect::<Vec<u64>>()
-            })
-        };
-        assert_eq!(run(&spawn), run(&persistent), "the two drivers must agree bit for bit");
-        assert!(
-            spawn.worker_thread_ids().is_empty(),
-            "spawn-per-region mode must not start persistent workers"
-        );
     }
 
     #[test]

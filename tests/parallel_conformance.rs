@@ -20,12 +20,11 @@ mod common;
 
 use common::problems;
 use feti_core::{
-    build_dual_operator, build_dual_operator_with_options, DualOperatorApproach, PcpgOptions,
-    TimeBreakdown, TotalFetiSolver,
+    build_dual_operator, DualOperatorApproach, PcpgOptions, TimeBreakdown, TotalFetiSolver,
 };
 use feti_decompose::{DecomposedProblem, DecompositionSpec};
 use feti_mesh::{Dim, ElementOrder, Physics};
-use feti_solver::{FactorizationKind, SolverOptions, SupernodalFactor, SymbolicCholesky};
+use feti_solver::{CholeskyFactor, SolverOptions, SymbolicCholesky};
 use feti_sparse::{blas, DenseMatrix, DiagKind, MemoryOrder, Transpose, Triangle};
 use proptest::prelude::*;
 
@@ -114,36 +113,6 @@ fn solutions_and_iteration_counts_are_bit_identical_across_thread_counts() {
     }
 }
 
-/// With the supernodal factorization forced on, the operator action of every approach
-/// must still be bit-for-bit identical between 1 and 4 worker threads — the blocked
-/// panel kernels inside the factorization are thread-count-invariant by construction.
-#[test]
-fn supernodal_operator_action_is_bit_identical_across_thread_counts() {
-    let options =
-        SolverOptions { factorization: FactorizationKind::Supernodal, ..SolverOptions::default() };
-    for (name, spec) in problems() {
-        let problem = DecomposedProblem::build(&spec);
-        let nl = problem.num_lambdas;
-        let p: Vec<f64> = (0..nl).map(|i| (i as f64 * 0.53).cos() - 0.4).collect();
-        for approach in DualOperatorApproach::all() {
-            let run = |threads: usize| -> Vec<f64> {
-                with_threads(threads, || {
-                    let mut op =
-                        build_dual_operator_with_options(approach, &problem, None, options)
-                            .unwrap();
-                    op.preprocess().unwrap();
-                    let mut q = vec![0.0; nl];
-                    op.apply(&p, &mut q);
-                    q
-                })
-            };
-            let q1 = run(1);
-            let q4 = run(4);
-            assert_bits_eq(name, approach, "supernodal F·p", &q1, &q4);
-        }
-    }
-}
-
 /// The sparsity-aware explicit family in particular: with the assembly parameters
 /// pinned to the configuration both explicit families share (SYRK path over a dense
 /// forward factor), the `F·p` of `expl sparse legacy/modern` must be bit-for-bit
@@ -177,12 +146,12 @@ fn sparse_rhs_assembly_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The blocked BLAS kernels and the supernodal factorization are sequential building
-/// blocks: their results must not depend on the ambient worker pool at all.  This
-/// pins SYRK, TRSM, SYMM, SYMV and a supernodal factor to identical bits under 1 and
-/// 4 installed threads.
+/// The blocked BLAS kernels and the numeric Cholesky factorization are sequential
+/// building blocks: their results must not depend on the ambient worker pool at all.
+/// This pins SYRK, TRSM, SYMM, SYMV and a Cholesky factor to identical bits under 1
+/// and 4 installed threads.
 #[test]
-fn blocked_kernels_and_supernodal_factor_are_thread_count_invariant() {
+fn blocked_kernels_and_cholesky_factor_are_thread_count_invariant() {
     let n = 64;
     let fill = |seed: usize, rows: usize, cols: usize, boost: f64| {
         let mut m = DenseMatrix::zeros(rows, cols, MemoryOrder::RowMajor);
@@ -214,7 +183,7 @@ fn blocked_kernels_and_supernodal_factor_are_thread_count_invariant() {
             let opts = SolverOptions::default();
             let k = &problem.subdomains[0].k_reg;
             let symbolic = SymbolicCholesky::analyze(k, &opts);
-            let factor = SupernodalFactor::factorize(&symbolic, k, &opts).unwrap();
+            let factor = CholeskyFactor::factorize(&symbolic, k, &opts).unwrap();
             let l = factor.factor_csc();
 
             let bits = |m: &DenseMatrix| -> Vec<u64> {
@@ -235,7 +204,7 @@ fn blocked_kernels_and_supernodal_factor_are_thread_count_invariant() {
     let r1 = run(1);
     let r4 = run(4);
     for (what, (a, b)) in
-        ["syrk", "trsm", "symm", "symv", "supernodal factor"].iter().zip(r1.iter().zip(&r4))
+        ["syrk", "trsm", "symm", "symv", "Cholesky factor"].iter().zip(r1.iter().zip(&r4))
     {
         assert_eq!(a, b, "{what}: bits differ between 1 and 4 installed threads");
     }
